@@ -15,7 +15,11 @@
 //! races). The quick CI gate in `scripts/check.sh` runs the same matrix
 //! through this test.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
+
+mod common;
 
 const RLC_LADDER: &str = "\
 * Two-port RLC ladder with enough states to drop nodes under chaos.
@@ -30,12 +34,13 @@ PORT 1
 PORT 5
 .end";
 
-fn netlist_path() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pmtbr-chaos");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("ladder.sp");
-    std::fs::write(&path, RLC_LADDER).expect("write netlist");
-    path
+/// The ladder netlist, written once per process: children of sibling
+/// tests read it concurrently, so it is never rewritten under them.
+fn netlist_path() -> &'static Path {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        common::write_atomic(&common::scratch_dir("pmtbr-chaos").join("ladder.sp"), RLC_LADDER)
+    })
 }
 
 /// Runs `reduce` with the given method, fault spec, and thread count;
@@ -44,7 +49,7 @@ fn run_reduce(method: &pmtbr_cli::Method, fault: Option<&str>, threads: &str) ->
     let netlist = netlist_path();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pmtbr-cli"));
     cmd.arg("reduce")
-        .arg(&netlist)
+        .arg(netlist)
         .args(["--method", method.name])
         .args(["--band", "2e9", "--samples", "8"])
         .args(["--threads", threads])
@@ -144,7 +149,7 @@ fn budget_exhaustion_maps_to_exit_code_4_with_best_effort_model() {
     for threads in ["1", "2", "8"] {
         let out = Command::new(env!("CARGO_BIN_EXE_pmtbr-cli"))
             .arg("reduce")
-            .arg(&netlist)
+            .arg(netlist)
             .args(["--band", "2e9", "--samples", "8", "--budget-lu", "4"])
             .args(["--threads", threads])
             .env_remove("PMTBR_FAULT")
@@ -178,7 +183,7 @@ fn zero_svd_budget_downgrades_compressor_instead_of_hanging() {
     let netlist = netlist_path();
     let out = Command::new(env!("CARGO_BIN_EXE_pmtbr-cli"))
         .arg("reduce")
-        .arg(&netlist)
+        .arg(netlist)
         .args(["--band", "2e9", "--samples", "8", "--budget-svd-sweeps", "0"])
         .env_remove("PMTBR_FAULT")
         .env_remove("PMTBR_THREADS")
@@ -201,7 +206,7 @@ fn strict_mode_rejects_degraded_pipeline_with_exit_3() {
     let netlist = netlist_path();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pmtbr-cli"));
     cmd.arg("reduce")
-        .arg(&netlist)
+        .arg(netlist)
         .args(["--method", method.name])
         .args(["--band", "2e9", "--samples", "8", "--strict"])
         .env_remove("PMTBR_THREADS")

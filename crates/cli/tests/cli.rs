@@ -1,19 +1,15 @@
 //! End-to-end tests driving the `pmtbr-cli` binary.
 
-use std::io::Write;
 use std::process::Command;
+
+mod common;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pmtbr-cli"))
 }
 
 fn write_netlist(name: &str, text: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pmtbr-cli-tests");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("create netlist");
-    f.write_all(text.as_bytes()).expect("write netlist");
-    path
+    common::write_atomic(&common::scratch_dir("pmtbr-cli-tests").join(name), text)
 }
 
 const RC_LADDER: &str = "\

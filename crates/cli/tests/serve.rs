@@ -19,6 +19,8 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Output, Stdio};
 
+mod common;
+
 const RLC_LADDER: &str = "\
 * Two-port RLC ladder with enough states to drop nodes under chaos.
 R1 1 2 50
@@ -46,11 +48,7 @@ PORT 1
 .end";
 
 fn write_netlist(name: &str, text: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pmtbr-serve-tests");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    std::fs::write(&path, text).expect("write netlist");
-    path
+    common::write_atomic(&common::scratch_dir("pmtbr-serve-tests").join(name), text)
 }
 
 /// A running `pmtbr-cli serve` child, killed on drop so a failing
@@ -318,7 +316,7 @@ fn server_side_job_errors_exit_1() {
 #[test]
 fn submit_trace_rides_back_from_the_server() {
     let nl = write_netlist("trace.sp", RC_LADDER);
-    let trace = std::env::temp_dir().join("pmtbr-serve-tests").join("submit-trace.jsonl");
+    let trace = common::scratch_dir("pmtbr-serve-tests").join("submit-trace.jsonl");
     let _ = std::fs::remove_file(&trace);
     let server = Server::spawn(1, None);
     let out = submit(

@@ -20,8 +20,9 @@
 //! PMTBR_BLESS=1 cargo test -p pmtbr-cli --test trace_golden
 //! ```
 
-use std::io::Write;
 use std::process::Command;
+
+mod common;
 
 const RLC_TANK: &str = "\
 * Parallel RLC tank driven through a source resistor.
@@ -60,12 +61,8 @@ fn run_traced(netlist: &std::path::Path, trace: &std::path::Path, threads: &str)
 
 #[test]
 fn trace_is_deterministic_and_matches_blessed_fixture() {
-    let dir = std::env::temp_dir().join("pmtbr-trace-golden");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let netlist = dir.join("tank.sp");
-    let mut f = std::fs::File::create(&netlist).expect("create netlist");
-    f.write_all(RLC_TANK.as_bytes()).expect("write netlist");
-    drop(f);
+    let dir = common::scratch_dir("pmtbr-trace-golden");
+    let netlist = common::write_atomic(&dir.join("tank.sp"), RLC_TANK);
 
     // Identical bytes at 1, 2, and 8 threads: thread scheduling must not
     // be observable in a counter-clock trace.

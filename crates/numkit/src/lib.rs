@@ -73,4 +73,6 @@ pub use qr::{PivotedQr, Qr};
 pub use rng::SplitMix64;
 pub use scalar::Scalar;
 pub use schur::{quasi_triangular_eigenvalues, schur, Schur};
-pub use svd::{singular_values, svd, svd_with_opts, svd_with_sweeps, Svd, SvdOptions};
+pub use svd::{
+    singular_values, svd, svd_left, svd_left_with_opts, svd_with_opts, LeftSvd, Svd, SvdOptions,
+};

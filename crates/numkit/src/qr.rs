@@ -145,6 +145,11 @@ impl<T: Scalar> Qr<T> {
     }
 
     /// The thin orthonormal factor `Q` (`nrows × ncols`).
+    ///
+    /// Reflectors are applied last to first, each to columns `k..` only
+    /// (LAPACK `dorg2r`): when reflector `k` runs, every column `j < k`
+    /// is still `e_j`, which is zero in the rows `k..` the reflector
+    /// acts on, so applying it there would change no bit.
     pub fn thin_q(&self) -> Mat<T> {
         let (m, n) = self.qr.shape();
         let mut q = Mat::zeros(m, n);
@@ -153,7 +158,7 @@ impl<T: Scalar> Qr<T> {
         }
         for k in (0..n).rev() {
             let v = reflector_vector(&self.qr, k);
-            apply_reflector(&v, k, self.tau[k], &mut q, 0);
+            apply_reflector(&v, k, self.tau[k], &mut q, k);
         }
         q
     }
@@ -214,6 +219,21 @@ pub struct PivotedQr<T> {
     perm: Vec<usize>,
 }
 
+/// Squared norms of the trailing columns `ncols − out.len()..` of `a`
+/// over rows `r0..`, written to `out`. Streams whole row segments
+/// instead of striding down columns; each norm still sums its rows in
+/// ascending order, so the values match a column-at-a-time sum bit for
+/// bit.
+fn residual_norms<T: Scalar>(a: &Mat<T>, r0: usize, out: &mut [f64]) {
+    let c0 = a.ncols() - out.len();
+    out.fill(0.0);
+    for i in r0..a.nrows() {
+        for (acc, x) in out.iter_mut().zip(&a.row(i)[c0..]) {
+            *acc += x.abs_sq();
+        }
+    }
+}
+
 impl<T: Scalar> PivotedQr<T> {
     /// Factors `a` with greedy column pivoting on residual column norms.
     ///
@@ -231,8 +251,8 @@ impl<T: Scalar> PivotedQr<T> {
         let mut perm: Vec<usize> = (0..n).collect();
         let mut tau = Vec::with_capacity(n);
         // Residual squared norms of each column.
-        let mut colnorm: Vec<f64> =
-            (0..n).map(|j| (0..m).map(|i| a[(i, j)].abs_sq()).sum()).collect();
+        let mut colnorm = vec![0.0f64; n];
+        residual_norms(&a, 0, &mut colnorm);
         for k in 0..n {
             // Pivot: bring the column with the largest residual norm to k.
             let (p, _) = colnorm[k..]
@@ -256,9 +276,7 @@ impl<T: Scalar> PivotedQr<T> {
             // Recompute residual norms exactly; our sizes are modest and
             // exact recomputation avoids the classical cancellation pitfall
             // of norm downdating.
-            for (j, cn) in colnorm.iter_mut().enumerate().skip(k + 1) {
-                *cn = ((k + 1)..m).map(|i| a[(i, j)].abs_sq()).sum();
-            }
+            residual_norms(&a, k + 1, &mut colnorm[k + 1..]);
         }
         Ok(PivotedQr { inner: Qr { qr: a, tau }, perm })
     }
@@ -391,6 +409,119 @@ mod tests {
                 assert!((x - y).abs() < 1e-12);
             }
         }
+    }
+
+    /// `thin_q` before the `dorg2r` restriction: every reflector applied
+    /// to all columns.
+    fn thin_q_full_width<T: Scalar>(qr: &Qr<T>) -> Mat<T> {
+        let (m, n) = qr.qr.shape();
+        let mut q = Mat::zeros(m, n);
+        for i in 0..n {
+            q[(i, i)] = T::one();
+        }
+        for k in (0..n).rev() {
+            let v = reflector_vector(&qr.qr, k);
+            apply_reflector(&v, k, qr.tau[k], &mut q, 0);
+        }
+        q
+    }
+
+    /// `PivotedQr::new` before the streamed norm recompute: residual
+    /// norms summed down each column with strided reads.
+    fn pivoted_qr_strided_norms<T: Scalar>(mut a: Mat<T>) -> PivotedQr<T> {
+        let (m, n) = a.shape();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut tau = Vec::with_capacity(n);
+        let mut colnorm: Vec<f64> =
+            (0..n).map(|j| (0..m).map(|i| a[(i, j)].abs_sq()).sum()).collect();
+        for k in 0..n {
+            let (p, _) = colnorm[k..]
+                .iter()
+                .enumerate()
+                .fold((0, -1.0), |best, (i, &v)| if v > best.1 { (i, v) } else { best });
+            let p = p + k;
+            if p != k {
+                for i in 0..m {
+                    let t = a[(i, k)];
+                    a[(i, k)] = a[(i, p)];
+                    a[(i, p)] = t;
+                }
+                colnorm.swap(k, p);
+                perm.swap(k, p);
+            }
+            let t = make_reflector(&mut a, k);
+            tau.push(t);
+            let v = reflector_vector(&a, k);
+            apply_reflector(&v, k, t, &mut a, k + 1);
+            for (j, cn) in colnorm.iter_mut().enumerate().skip(k + 1) {
+                *cn = ((k + 1)..m).map(|i| a[(i, j)].abs_sq()).sum();
+            }
+        }
+        PivotedQr { inner: Qr { qr: a, tau }, perm }
+    }
+
+    fn assert_bits<T: Scalar>(what: &str, x: &[T], y: &[T]) {
+        assert_eq!(x.len(), y.len(), "{what}: length");
+        for (idx, (a, b)) in x.iter().zip(y).enumerate() {
+            assert!(
+                a.re().to_bits() == b.re().to_bits() && a.im().to_bits() == b.im().to_bits(),
+                "{what}: entry {idx} differs"
+            );
+        }
+    }
+
+    /// Square, tall, graded (columns scaled over 12 decades),
+    /// rank-deficient (repeated and zero columns) and norm-tied inputs
+    /// of one scalar type, built from a deterministic entry generator.
+    fn bit_identity_inputs<T: Scalar>(
+        entry: impl Fn(usize, usize) -> T,
+    ) -> Vec<(&'static str, Mat<T>)> {
+        let square = Mat::from_fn(9, 9, &entry);
+        let tall = Mat::from_fn(23, 8, &entry);
+        let graded = Mat::from_fn(17, 7, |i, j| entry(i, j).scale(10f64.powi(-2 * j as i32)));
+        let deficient = Mat::from_fn(12, 6, |i, j| match j {
+            2 => T::zero(),
+            4 => entry(i, 1).scale(3.0),
+            5 => entry(i, 0) + entry(i, 1),
+            _ => entry(i, j),
+        });
+        // Columns are cyclic row shifts of one column: their norms tie in
+        // exact arithmetic, so the first pivot is decided by rounding
+        // alone and any change in summation order shows.
+        let tied = Mat::from_fn(16, 6, |i, j| entry((i + 3 * j) % 16, 0));
+        vec![
+            ("square", square),
+            ("tall", tall),
+            ("graded", graded),
+            ("deficient", deficient),
+            ("tied", tied),
+        ]
+    }
+
+    fn check_against_reference<T: Scalar>(entry: impl Fn(usize, usize) -> T) {
+        for (name, a) in bit_identity_inputs(entry) {
+            let qr = Qr::new(a.clone()).unwrap();
+            assert_bits(name, qr.thin_q().as_slice(), thin_q_full_width(&qr).as_slice());
+            let fast = PivotedQr::new(a.clone()).unwrap();
+            let slow = pivoted_qr_strided_norms(a);
+            assert_eq!(fast.perm, slow.perm, "{name}: pivot order");
+            assert_bits(name, fast.inner.qr.as_slice(), slow.inner.qr.as_slice());
+            assert_bits(name, &fast.inner.tau, &slow.inner.tau);
+            assert_bits(name, fast.thin_q().as_slice(), thin_q_full_width(&slow.inner).as_slice());
+        }
+    }
+
+    #[test]
+    fn thin_q_and_pivoting_match_the_reference_bit_for_bit_real() {
+        check_against_reference(|i, j| ((i * 7 + j * 13 + i * j) % 19) as f64 / 4.0 - 2.3);
+    }
+
+    #[test]
+    fn thin_q_and_pivoting_match_the_reference_bit_for_bit_complex() {
+        check_against_reference(|i, j| {
+            let re = ((i * 5 + j * 11) % 17) as f64 / 3.0 - 2.5;
+            c64::new(re, ((i * 3 + j * j) % 13) as f64 / 5.0 - 1.1)
+        });
     }
 
     #[test]

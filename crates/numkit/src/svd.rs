@@ -38,6 +38,31 @@
 //!   bit-identical to running it sequentially, at any thread count.
 //!   Convergence detection, the freeze threshold, and the sweep cap are
 //!   evaluated once per sweep at a barrier, identically in both drivers.
+//!
+//! # Entry points
+//!
+//! All of them run one core and differ only in which vectors it builds:
+//!
+//! - [`svd`] / [`svd_with_opts`]: every value, all of U and V.
+//! - [`svd_left`] / [`svd_left_with_opts`]: every value and the leading
+//!   `k` columns of U. This is what a projection-based reduction reads:
+//!   order control needs the whole spectrum, the basis only the leading
+//!   left vectors. The path skips `Q₂`, `Q₂·V₀` and the row permutation,
+//!   and the sweeps accumulate no V at all.
+//! - [`singular_values`]: every value, no vectors.
+//!
+//! The partial results are bit-identical to the matching parts of the
+//! full factorization. The Jacobi rotations are computed from the
+//! working columns alone, never from the accumulated V, so dropping V
+//! changes no bit of Σ or U₀. `U = Q₁·U₀[:, :k]` is the same product
+//! restricted to fewer columns, and the blocked matmul sums every entry
+//! in ascending-k order whatever the column count. Null-column
+//! completion of column `j` reads only columns `< j`, because zero
+//! values trail the sorted spectrum. Wide inputs factor the adjoint, so
+//! their left vectors come from the accumulated V: that path keeps V,
+//! forms only its leading `k` columns, and skips `Q₁` instead. Sweep,
+//! rotation and round counters, and the `svd.jacobi` trace span, are
+//! the same for every entry point.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -121,6 +146,16 @@ impl<T: Scalar> Svd<T> {
     }
 }
 
+/// Every singular value and the leading left singular vectors, as
+/// returned by [`svd_left`].
+#[derive(Debug, Clone)]
+pub struct LeftSvd<T> {
+    /// Leading left singular vectors (columns), `m × min(k, m, n)`.
+    pub u: Mat<T>,
+    /// All `min(m, n)` singular values, non-increasing.
+    pub s: Vec<f64>,
+}
+
 /// Knobs for [`svd_with_opts`]; `None` everywhere (the [`Default`])
 /// reproduces [`svd`] exactly.
 #[derive(Debug, Clone, Copy, Default)]
@@ -161,46 +196,94 @@ pub fn svd<T: Scalar>(a: &Mat<T>) -> Result<Svd<T>, NumError> {
     svd_with_opts(a, &SvdOptions::default())
 }
 
-/// Computes the thin SVD of `a` with an explicit Jacobi sweep cap.
-///
-/// # Errors
-///
-/// Same as [`svd`].
-pub fn svd_with_sweeps<T: Scalar>(a: &Mat<T>, max_sweeps: usize) -> Result<Svd<T>, NumError> {
-    svd_with_opts(a, &SvdOptions { max_sweeps: Some(max_sweeps), ..SvdOptions::default() })
-}
-
 /// Computes the thin SVD of `a` under explicit [`SvdOptions`].
 ///
 /// # Errors
 ///
 /// Same as [`svd`].
 pub fn svd_with_opts<T: Scalar>(a: &Mat<T>, opts: &SvdOptions) -> Result<Svd<T>, NumError> {
-    if !a.is_finite() {
-        return Err(NumError::NotFinite);
-    }
-    let (m, n) = a.shape();
-    if m >= n {
-        svd_tall(a.clone(), opts)
-    } else {
-        // A = U S Vᴴ ⇔ Aᴴ = V S Uᴴ: factor the (tall) adjoint and swap.
-        let f = svd_tall(a.adjoint(), opts)?;
-        Ok(Svd { u: f.v, s: f.s, v: f.u })
-    }
+    factor(a, Want { u: usize::MAX, v: usize::MAX }, opts)
 }
 
-/// Convenience: singular values only.
+/// Every singular value of `a` and only its leading `k` left singular
+/// vectors, bit-identical to the matching parts of [`svd`].
+///
+/// # Examples
+///
+/// ```
+/// use numkit::{svd, svd_left, DMat};
+///
+/// # fn main() -> Result<(), numkit::NumError> {
+/// let a = DMat::from_fn(6, 4, |i, j| ((i * 5 + j * 3) % 7) as f64 - 3.0);
+/// let left = svd_left(&a, 2)?;
+/// let full = svd(&a)?;
+/// assert_eq!(left.s, full.s);
+/// assert_eq!(left.u.as_slice(), full.u.leading_cols(2).as_slice());
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// Same as [`svd`].
+pub fn svd_left<T: Scalar>(a: &Mat<T>, k: usize) -> Result<LeftSvd<T>, NumError> {
+    svd_left_with_opts(a, k, &SvdOptions::default())
+}
+
+/// [`svd_left`] under explicit [`SvdOptions`]; bit-identical to the
+/// matching parts of [`svd_with_opts`] with the same options.
+///
+/// # Errors
+///
+/// Same as [`svd`].
+pub fn svd_left_with_opts<T: Scalar>(
+    a: &Mat<T>,
+    k: usize,
+    opts: &SvdOptions,
+) -> Result<LeftSvd<T>, NumError> {
+    let f = factor(a, Want { u: k, v: 0 }, opts)?;
+    Ok(LeftSvd { u: f.u, s: f.s })
+}
+
+/// Singular values only; no singular vector is built.
 ///
 /// # Errors
 ///
 /// Same as [`svd`].
 pub fn singular_values<T: Scalar>(a: &Mat<T>) -> Result<Vec<f64>, NumError> {
-    Ok(svd(a)?.s)
+    Ok(factor(a, Want { u: 0, v: 0 }, &SvdOptions::default())?.s)
 }
 
-fn svd_tall<T: Scalar>(w: Mat<T>, opts: &SvdOptions) -> Result<Svd<T>, NumError> {
+/// How many leading columns of each singular-vector set a factorization
+/// builds. `0` builds none; with `v == 0` the Jacobi sweeps do not even
+/// accumulate V. Counts above `min(m, n)` mean "all of them".
+#[derive(Debug, Clone, Copy)]
+struct Want {
+    u: usize,
+    v: usize,
+}
+
+/// The one core behind every entry point. The returned `u`/`v` hold the
+/// requested leading columns only; `s` always holds every value.
+fn factor<T: Scalar>(a: &Mat<T>, want: Want, opts: &SvdOptions) -> Result<Svd<T>, NumError> {
+    if !a.is_finite() {
+        return Err(NumError::NotFinite);
+    }
+    let (m, n) = a.shape();
+    if m >= n {
+        svd_tall(a.clone(), want, opts)
+    } else {
+        // A = U S Vᴴ ⇔ Aᴴ = V S Uᴴ: factor the (tall) adjoint and swap,
+        // so A's left vectors are the adjoint's right vectors.
+        let f = svd_tall(a.adjoint(), Want { u: want.v, v: want.u }, opts)?;
+        Ok(Svd { u: f.v, s: f.s, v: f.u })
+    }
+}
+
+fn svd_tall<T: Scalar>(w: Mat<T>, want: Want, opts: &SvdOptions) -> Result<Svd<T>, NumError> {
     let (m, n) = w.shape();
     debug_assert!(m >= n);
+    let want = Want { u: want.u.min(n), v: want.v.min(n) };
     let mut sp = obs::span("svd.jacobi");
     sp.field_u64("m", m as u64);
     sp.field_u64("n", n as u64);
@@ -220,39 +303,48 @@ fn svd_tall<T: Scalar>(w: Mat<T>, opts: &SvdOptions) -> Result<Svd<T>, NumError>
         // across thread counts.
         sp.field_u64("threads", threads as u64);
     }
-    if precondition {
-        obs::counters::add(obs::Counter::SvdQrPrecond, 1);
-        // Stage 1: A·P = Q₁·R₁ collapses the row surplus onto an n×n core.
-        let qr1 = PivotedQr::new(w)?;
-        // Stage 2: R₁ᴴ = Q₂·R₂, i.e. R₁ = R₂ᴴ·Q₂ᴴ. Triangularizing from
-        // both sides leaves a core that is already nearly diagonal (one
-        // QLP step in Stewart's sense), which is what makes the sweeps
-        // converge on clustered, strongly graded sample stacks — see the
-        // module docs for the measured sweep counts.
-        let qr2 = Qr::new(qr1.r().adjoint())?;
-        let core = jacobi_svd(qr2.r().adjoint(), max_sweeps, threads, opts.chaos_panic, &mut sp)?;
-        // R₂ᴴ = U₀·Σ·V₀ᴴ gives A·P = (Q₁·U₀)·Σ·(Q₂·V₀)ᴴ: row i of the
-        // right factor Q₂·V₀ belongs to pivoted column i = original
-        // column perm[i].
-        let u = qr1.thin_q().matmul(&core.u)?;
-        let vr = qr2.thin_q().matmul(&core.v)?;
-        let perm = qr1.perm();
-        let mut v = Mat::zeros(vr.nrows(), vr.ncols());
-        for (i, &pi) in perm.iter().enumerate() {
-            for j in 0..vr.ncols() {
-                v[(pi, j)] = vr[(i, j)];
-            }
-        }
-        Ok(Svd { u, s: core.s, v })
-    } else {
-        jacobi_svd(w, max_sweeps, threads, opts.chaos_panic, &mut sp)
+    let jacobi = |core: Mat<T>, sp: &mut obs::SpanGuard| {
+        jacobi_svd(core, want, max_sweeps, threads, opts.chaos_panic, sp)
+    };
+    if !precondition {
+        return jacobi(w, &mut sp);
     }
+    obs::counters::add(obs::Counter::SvdQrPrecond, 1);
+    // Stage 1: A·P = Q₁·R₁ collapses the row surplus onto an n×n core.
+    let qr1 = PivotedQr::new(w)?;
+    // Stage 2: R₁ᴴ = Q₂·R₂, i.e. R₁ = R₂ᴴ·Q₂ᴴ. Triangularizing from
+    // both sides leaves a core that is already nearly diagonal (one
+    // QLP step in Stewart's sense), which is what makes the sweeps
+    // converge on clustered, strongly graded sample stacks — see the
+    // module docs for the measured sweep counts.
+    let qr2 = Qr::new(qr1.r().adjoint())?;
+    let core = jacobi(qr2.r().adjoint(), &mut sp)?;
+    // R₂ᴴ = U₀·Σ·V₀ᴴ gives A·P = (Q₁·U₀)·Σ·(Q₂·V₀)ᴴ. The core returns
+    // only the wanted leading columns of U₀ and V₀, and the blocked
+    // matmul sums every entry in ascending-k order whatever the column
+    // count, so these are the leading columns of the full products.
+    let u = if want.u > 0 { qr1.thin_q().matmul(&core.u)? } else { Mat::zeros(m, 0) };
+    let v = if want.v > 0 {
+        // Row i of the right factor Q₂·V₀ belongs to pivoted column i =
+        // original column perm[i].
+        let vr = qr2.thin_q().matmul(&core.v)?;
+        let mut v = Mat::zeros(n, want.v);
+        for (i, &pi) in qr1.perm().iter().enumerate() {
+            v.row_mut(pi).copy_from_slice(vr.row(i));
+        }
+        v
+    } else {
+        Mat::zeros(n, 0)
+    };
+    Ok(Svd { u, s: core.s, v })
 }
 
 /// One working column pair of the Jacobi iteration: the rotating sample
 /// column (`w`, length `m`) and the accumulated right-singular-vector
-/// column (`v`, length `n`), stored contiguously so the per-rotation
-/// passes stream instead of striding through a row-major matrix.
+/// column (`v`, length `n`, or empty when V is not wanted), stored
+/// contiguously so the per-rotation passes stream instead of striding
+/// through a row-major matrix. Rotation angles are computed from `w`
+/// alone, so leaving `v` empty changes no bit of `w`.
 struct JacobiCol<T> {
     w: Vec<T>,
     v: Vec<T>,
@@ -260,9 +352,11 @@ struct JacobiCol<T> {
 
 /// The Jacobi core: thin SVD of `w` by tournament-ordered one-sided
 /// rotations. `w` may be any shape with `nrows >= 1`; callers pass either
-/// the full tall matrix or the square `R` factor.
+/// the full tall matrix or the square `R` factor. Only the `want`ed
+/// leading columns of U and V are formed.
 fn jacobi_svd<T: Scalar>(
     w: Mat<T>,
+    want: Want,
     max_sweeps: usize,
     threads: usize,
     chaos_panic: bool,
@@ -271,8 +365,11 @@ fn jacobi_svd<T: Scalar>(
     let (m, n) = w.shape();
     let mut cols: Vec<JacobiCol<T>> = (0..n)
         .map(|j| {
-            let mut v = vec![T::zero(); n];
-            v[j] = T::one();
+            let mut v = Vec::new();
+            if want.v > 0 {
+                v.resize(n, T::zero());
+                v[j] = T::one();
+            }
             JacobiCol { w: w.col(j), v }
         })
         .collect();
@@ -317,24 +414,28 @@ fn jacobi_svd<T: Scalar>(
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| norms[b].total_cmp(&norms[a]));
 
-    let mut u = Mat::<T>::zeros(m, n);
-    let mut vv = Mat::<T>::zeros(n, n);
+    let mut u = Mat::<T>::zeros(m, want.u);
+    let mut vv = Mat::<T>::zeros(n, want.v);
     let mut s = Vec::with_capacity(n);
     for (dst, &src) in order.iter().enumerate() {
         let sigma = norms[src];
-        if sigma > floor || (sigma > 0.0 && floor == 0.0) {
-            s.push(sigma);
+        let live = sigma > floor || (sigma > 0.0 && floor == 0.0);
+        s.push(if live { sigma } else { 0.0 });
+        if live && dst < want.u {
             for (i, x) in cols[src].w.iter().enumerate() {
                 u[(i, dst)] = x.scale(1.0 / sigma);
             }
-        } else {
-            s.push(0.0);
         }
-        for (i, x) in cols[src].v.iter().enumerate() {
-            vv[(i, dst)] = *x;
+        if dst < want.v {
+            for (i, x) in cols[src].v.iter().enumerate() {
+                vv[(i, dst)] = *x;
+            }
         }
     }
-    complete_null_columns(&mut u, &s);
+    // Zero values trail the sorted spectrum, so completing null column
+    // j reads only columns < j: the leading columns complete to the same
+    // bits whether or not the trailing ones are formed.
+    complete_null_columns(&mut u, &s[..want.u]);
     Ok(Svd { u, s, v: vv })
 }
 
@@ -854,11 +955,12 @@ mod tests {
         // variant must report NotConverged with the cap it was given,
         // while the default cap succeeds on the same input.
         let a = DMat::from_fn(6, 6, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
-        match svd_with_sweeps(&a, 1) {
+        let capped = |cap| SvdOptions { max_sweeps: Some(cap), ..SvdOptions::default() };
+        match svd_with_opts(&a, &capped(1)) {
             Err(NumError::NotConverged { algorithm: "jacobi-svd", iterations: 1 }) => {}
             other => panic!("expected NotConverged at cap 1, got {other:?}"),
         }
-        assert!(svd_with_sweeps(&a, 100).is_ok());
+        assert!(svd_with_opts(&a, &capped(100)).is_ok());
     }
 
     #[test]

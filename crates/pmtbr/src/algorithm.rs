@@ -8,7 +8,7 @@
 //! and error control.
 
 use lti::{LtiSystem, NoFaults, RecoveryPolicy, StateSpace};
-use numkit::{svd, svd_with_sweeps, DMat, NumError, Svd};
+use numkit::{svd, svd_left_with_opts, svd_with_opts, DMat, LeftSvd, NumError, Svd, SvdOptions};
 
 use crate::pipeline::{InputDirections, ReductionPlan, SweptSamples};
 use crate::{SamplePoint, Sampling};
@@ -28,7 +28,10 @@ use crate::{SamplePoint, Sampling};
 pub(crate) fn robust_svd(a: &DMat) -> Result<(Svd<f64>, bool), NumError> {
     match svd(a) {
         Ok(f) => Ok((f, false)),
-        Err(NumError::NotConverged { .. }) => equilibrated_svd(a, 400).map(|f| (f, true)),
+        Err(NumError::NotConverged { .. }) => {
+            let opts = SvdOptions { max_sweeps: Some(400), ..SvdOptions::default() };
+            equilibrated_svd(a, &opts).map(|f| (f, true))
+        }
         Err(e) => Err(e),
     }
 }
@@ -36,8 +39,48 @@ pub(crate) fn robust_svd(a: &DMat) -> Result<(Svd<f64>, bool), NumError> {
 /// The equilibrated retry behind [`robust_svd`] (and rung 2 of the
 /// pipeline's compressor ladder): factor `A·D` with unit columns, then
 /// recombine exactly through a second small SVD. Both internal SVDs run
-/// under `max_sweeps`, so a work budget can clamp the retry.
-pub(crate) fn equilibrated_svd(a: &DMat, max_sweeps: usize) -> Result<Svd<f64>, NumError> {
+/// under `opts`, so a work budget can clamp the retry.
+pub(crate) fn equilibrated_svd(a: &DMat, opts: &SvdOptions) -> Result<Svd<f64>, NumError> {
+    match equilibrate(a, opts)? {
+        Equilibrated::Zero(f1) => Ok(f1),
+        Equilibrated::Split { u1, middle } => {
+            let f2 = svd_with_opts(&middle, opts)?;
+            Ok(Svd { u: u1.matmul(&f2.u)?, s: f2.s, v: f2.v })
+        }
+    }
+}
+
+/// [`equilibrated_svd`] restricted to every value and the leading `k`
+/// left vectors, bit-identical to the matching parts of it: the second
+/// SVD is left-only, and `U₁·U₂[:, :k]` is the leading-column slice of
+/// the full product.
+pub(crate) fn equilibrated_svd_left(
+    a: &DMat,
+    k: usize,
+    opts: &SvdOptions,
+) -> Result<LeftSvd<f64>, NumError> {
+    match equilibrate(a, opts)? {
+        Equilibrated::Zero(f1) => {
+            Ok(LeftSvd { u: f1.u.leading_cols(k.min(f1.u.ncols())), s: f1.s })
+        }
+        Equilibrated::Split { u1, middle } => {
+            let f2 = svd_left_with_opts(&middle, k, opts)?;
+            Ok(LeftSvd { u: u1.matmul(&f2.u)?, s: f2.s })
+        }
+    }
+}
+
+/// Stage 1 of the equilibrated retry.
+enum Equilibrated {
+    /// `A` is numerically zero; this is already its SVD.
+    Zero(Svd<f64>),
+    /// `A = U₁·M`: `U₁` the left vectors of `A·D` truncated to its
+    /// numerical rank `r`, `M = S₁·V₁ᵀ·D⁻¹` the small `r × c` middle
+    /// factor still to be factored.
+    Split { u1: DMat, middle: DMat },
+}
+
+fn equilibrate(a: &DMat, opts: &SvdOptions) -> Result<Equilibrated, NumError> {
     let (n, c) = a.shape();
     let norms: Vec<f64> = (0..c)
         .map(|j| (0..n).map(|i| a[(i, j)] * a[(i, j)]).sum::<f64>().sqrt())
@@ -49,19 +92,18 @@ pub(crate) fn equilibrated_svd(a: &DMat, max_sweeps: usize) -> Result<Svd<f64>, 
             0.0
         }
     });
-    let f1 = svd_with_sweeps(&ad, max_sweeps)?;
+    // The middle factor reads V₁, so this first SVD keeps every vector.
+    let f1 = svd_with_opts(&ad, opts)?;
     // Truncate stage 1 to its numerical rank: below it, the rows of the
     // middle factor are pure noise and would hand the second SVD
     // non-orthogonal null directions.
     let r = f1.rank(f64::EPSILON);
     if r == 0 {
-        return Ok(f1); // A is (numerically) zero; f1 is already its SVD
+        return Ok(Equilibrated::Zero(f1));
     }
     let f1 = f1.truncated(r);
-    // Middle factor M = S₁·V₁ᵀ·D⁻¹ (r × c, small).
-    let m = DMat::from_fn(r, c, |i, j| f1.s[i] * f1.v[(j, i)] * norms[j]);
-    let f2 = svd_with_sweeps(&m, max_sweeps)?;
-    Ok(Svd { u: f1.u.matmul(&f2.u)?, s: f2.s, v: f2.v })
+    let middle = DMat::from_fn(r, c, |i, j| f1.s[i] * f1.v[(j, i)] * norms[j]);
+    Ok(Equilibrated::Split { u1: f1.u, middle })
 }
 
 /// Configuration for a PMTBR run.
@@ -312,7 +354,8 @@ mod tests {
             scale * ((i * 7 + 1) as f64 * (0.37 + 0.11 * j as f64)).sin()
         });
         let direct = svd(&a).unwrap();
-        let equil = super::equilibrated_svd(&a, 400).unwrap();
+        let opts = SvdOptions { max_sweeps: Some(400), ..SvdOptions::default() };
+        let equil = super::equilibrated_svd(&a, &opts).unwrap();
         assert_eq!(direct.s.len(), equil.s.len());
         for (d, e) in direct.s.iter().zip(&equil.s) {
             assert!((d - e).abs() <= 1e-10 * direct.s[0], "{d} vs {e}");
@@ -343,7 +386,8 @@ mod tests {
             let scale = 10f64.powi(-3 * j as i32);
             scale * ((i * 7 + j * 3 + 1) as f64 * 0.37).sin()
         });
-        let equil = super::equilibrated_svd(&a, 400).unwrap();
+        let opts = SvdOptions { max_sweeps: Some(400), ..SvdOptions::default() };
+        let equil = super::equilibrated_svd(&a, &opts).unwrap();
         let k = equil.s.len();
         assert!(k < 5, "noise directions must be truncated: {:?}", equil.s);
         assert!(equil.s[1] > 1e-12 * equil.s[0], "both true directions kept");

@@ -9,7 +9,7 @@
 //! exact trailing-value estimates without touching the `n × m` matrix
 //! again.
 
-use numkit::{singular_values, DMat, NumError};
+use numkit::{singular_values, svd_left, DMat, NumError};
 
 /// An incrementally updated orthonormal basis with order-control
 /// estimates, fed by sample blocks.
@@ -109,7 +109,8 @@ impl IncrementalBasis {
 
     /// Singular values of the accumulated sample matrix, computed from
     /// the small `R` factor (`rank × ncols`): identical to the full
-    /// matrix's singular values because `Q` is orthonormal.
+    /// matrix's singular values because `Q` is orthonormal. No singular
+    /// vector is built.
     ///
     /// # Errors
     ///
@@ -158,7 +159,8 @@ impl IncrementalBasis {
     }
 
     /// The orthonormal basis truncated to the `order` dominant
-    /// directions of the sample matrix (via the `R`-factor SVD).
+    /// directions of the sample matrix (via the leading `order` left
+    /// vectors of the `R`-factor SVD; nothing else is built).
     ///
     /// # Errors
     ///
@@ -170,10 +172,9 @@ impl IncrementalBasis {
         }
         let m = self.r_cols.len();
         let r = DMat::from_fn(k, m, |i, j| self.r_cols[j].get(i).copied().unwrap_or(0.0));
-        let f = numkit::svd(&r)?;
+        let f = svd_left(&r, order)?;
         // V = Q · U_r[:, :order].
-        let qmat = DMat::from_cols(&self.q);
-        qmat.matmul(&f.u.leading_cols(order))
+        DMat::from_cols(&self.q).matmul(&f.u)
     }
 }
 

@@ -67,11 +67,11 @@ use lti::{
     RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, StateSpace, TolerantSweep,
 };
 use numkit::{
-    c64, eig, svd, svd_with_opts, svd_with_sweeps, DMat, Lu, NumError, SplitMix64, Svd,
+    c64, eig, svd_left_with_opts, svd_with_opts, DMat, LeftSvd, Lu, NumError, SplitMix64, Svd,
     SvdOptions, ZMat,
 };
 
-use crate::algorithm::equilibrated_svd;
+use crate::algorithm::{equilibrated_svd, equilibrated_svd_left};
 use crate::budget::BudgetTracker;
 use crate::fault::{FaultStage, StageFault};
 use crate::{
@@ -1117,8 +1117,9 @@ pub(crate) fn realify_blocks(
 /// Output of the compression stage, before order selection and
 /// projection.
 enum Compressed {
-    /// SVD of the controllability sample matrix.
-    Spectral { f: Svd<f64>, retried: bool },
+    /// Every singular value of the controllability sample matrix and
+    /// its leading left vectors (the plan's order bound of them).
+    Spectral { f: LeftSvd<f64>, retried: bool },
     /// Incremental QR with `R`-factor singular-value estimates.
     Incremental { basis: IncrementalBasis, s: Vec<f64> },
     /// SVD of the balancing product `Z_Lᵀ·Z_R`.
@@ -1233,13 +1234,18 @@ fn injected_outcome(
 /// a dry budget errors with [`NumError::BudgetExhausted`] so the
 /// caller can fall back to the SVD-free incremental compressor.
 ///
+/// `factor(a, opts, equilibrate)` runs one rung and decides which
+/// vectors are built: the balancing compressor needs the full SVD, the
+/// one-sided one only the leading left vectors ([`left_factor`]).
+///
 /// Returns the factorization and the rung that certified it.
-fn spectral_ladder(
+fn spectral_ladder<F>(
     a: &DMat,
+    factor: impl Fn(&DMat, &SvdOptions, bool) -> Result<F, NumError>,
     faults: &dyn StageFault,
     tracker: &BudgetTracker,
     attempt: &mut usize,
-) -> Result<(Svd<f64>, usize), NumError> {
+) -> Result<(F, usize), NumError> {
     const RUNGS: [&str; 4] = ["svd", "raise-cap", "equilibrate", "direct-jacobi"];
     let mut last = NumError::NotConverged { algorithm: "compress-ladder", iterations: 0 };
     for (rung, cand) in RUNGS.iter().enumerate() {
@@ -1258,21 +1264,15 @@ fn spectral_ladder(
                     Some(rem) => Some((rem as usize).min(RAISED_SWEEP_CAP)),
                     None => None,
                 };
+                let raised = SvdOptions {
+                    max_sweeps: Some(cap.unwrap_or(RAISED_SWEEP_CAP)),
+                    ..SvdOptions::default()
+                };
                 match rung {
-                    0 => match cap {
-                        None => svd(a),
-                        Some(c) => svd_with_sweeps(a, c),
-                    },
-                    1 => svd_with_sweeps(a, cap.unwrap_or(RAISED_SWEEP_CAP)),
-                    2 => equilibrated_svd(a, cap.unwrap_or(RAISED_SWEEP_CAP)),
-                    _ => svd_with_opts(
-                        a,
-                        &SvdOptions {
-                            max_sweeps: Some(cap.unwrap_or(RAISED_SWEEP_CAP)),
-                            qr_precondition: Some(false),
-                            ..SvdOptions::default()
-                        },
-                    ),
+                    0 => factor(a, &SvdOptions { max_sweeps: cap, ..SvdOptions::default() }, false),
+                    1 => factor(a, &raised, false),
+                    2 => factor(a, &raised, true),
+                    _ => factor(a, &SvdOptions { qr_precondition: Some(false), ..raised }, false),
                 }
             }
         };
@@ -1283,6 +1283,37 @@ fn spectral_ladder(
         }
     }
     Err(last)
+}
+
+/// Ladder rungs for the one-sided compressor: every singular value and
+/// the leading `k` left vectors, bit-identical to the full SVD's.
+fn left_factor(k: usize) -> impl Fn(&DMat, &SvdOptions, bool) -> Result<LeftSvd<f64>, NumError> {
+    move |a, opts, equilibrate| {
+        if equilibrate {
+            equilibrated_svd_left(a, k, opts)
+        } else {
+            svd_left_with_opts(a, k, opts)
+        }
+    }
+}
+
+/// Ladder rungs for the balancing compressor, which reads both vector
+/// sets.
+fn full_factor(a: &DMat, opts: &SvdOptions, equilibrate: bool) -> Result<Svd<f64>, NumError> {
+    if equilibrate {
+        equilibrated_svd(a, opts)
+    } else {
+        svd_with_opts(a, opts)
+    }
+}
+
+/// How many leading left vectors the one-sided projection can read: the
+/// plan's order bound, or all of them when the order is uncapped.
+fn leading_vectors(order: &OrderControl) -> usize {
+    match *order {
+        OrderControl::Exact(q) | OrderControl::Tolerance { max_order: Some(q), .. } => q,
+        OrderControl::Tolerance { max_order: None, .. } => usize::MAX,
+    }
 }
 
 /// The terminal compressor fallback: the SVD-free incremental QR basis.
@@ -1313,12 +1344,13 @@ fn incremental_fallback(
 fn spectral_or_incremental(
     zmat: &DMat,
     blocks: &[(usize, usize)],
+    k: usize,
     faults: &dyn StageFault,
     tracker: &BudgetTracker,
     report: &mut PipelineReport,
     attempt: &mut usize,
 ) -> Result<Compressed, NumError> {
-    match spectral_ladder(zmat, faults, tracker, attempt) {
+    match spectral_ladder(zmat, left_factor(k), faults, tracker, attempt) {
         Ok((f, rung)) => {
             if rung > 0 {
                 report.compress = report.compress.max(StageOutcome::Recovered);
@@ -1353,7 +1385,8 @@ fn compress(
     let result = match plan.compressor {
         Compressor::JacobiSvd => {
             sp.field_str("method", "jacobi-svd");
-            spectral_or_incremental(zmat, blocks, faults, tracker, report, &mut attempt)
+            let k = leading_vectors(&plan.order);
+            spectral_or_incremental(zmat, blocks, k, faults, tracker, report, &mut attempt)
         }
         Compressor::Incremental => {
             sp.field_str("method", "incremental-qr");
@@ -1397,7 +1430,7 @@ fn compress(
             // Square-root balancing: SVD of Z_Lᵀ·Z_R, through the same
             // escalation ladder as the spectral path.
             let m = zl.transpose().matmul(zmat)?;
-            match spectral_ladder(&m, faults, tracker, &mut attempt) {
+            match spectral_ladder(&m, full_factor, faults, tracker, &mut attempt) {
                 Ok((f, rung)) => {
                     if rung > 0 {
                         report.compress = report.compress.max(StageOutcome::Recovered);
@@ -1419,7 +1452,8 @@ fn compress(
                     report.notes.push(format!(
                         "balance compressor downgraded to one-sided jacobi-svd after: {e}"
                     ));
-                    spectral_or_incremental(zmat, blocks, faults, tracker, report, &mut attempt)
+                    let k = leading_vectors(&plan.order);
+                    spectral_or_incremental(zmat, blocks, k, faults, tracker, report, &mut attempt)
                 }
                 Err(e) => Err(e),
             }
@@ -1530,7 +1564,8 @@ fn compress(
                         "cross-gramian compressor downgraded to one-sided jacobi-svd after: \
                          {cause}"
                     ));
-                    spectral_or_incremental(zmat, blocks, faults, tracker, report, &mut attempt)
+                    let k = leading_vectors(&plan.order);
+                    spectral_or_incremental(zmat, blocks, k, faults, tracker, report, &mut attempt)
                 }
             }
         }

@@ -54,6 +54,29 @@ cargo test -q --test obs_counters
 echo "==> chaos gate (PMTBR_FAULT matrix: methods x stages x 1/2/8 threads)"
 cargo test -q -p pmtbr-cli --test chaos
 
+# Load-stress gate: the same chaos binary as two concurrent processes,
+# each running 8 tests at once, so every child `pmtbr-cli` reads its
+# netlist while sibling tests and the other process spawn theirs. Both
+# processes must pass; the wall time is printed for the record.
+echo "==> chaos load-stress (2 concurrent processes x --test-threads 8)"
+chaos_bin=$(cargo test -p pmtbr-cli --test chaos --no-run 2>&1 \
+    | sed -n 's/.*Executable tests\/chaos\.rs (\(.*\))$/\1/p')
+test -x "${chaos_bin}"
+stress_t0=$(date +%s)
+"${chaos_bin}" -q --test-threads 8 > target/chaos-stress-1.log 2>&1 &
+stress_pid1=$!
+"${chaos_bin}" -q --test-threads 8 > target/chaos-stress-2.log 2>&1 &
+stress_pid2=$!
+stress_failed=0
+wait "${stress_pid1}" || stress_failed=1
+wait "${stress_pid2}" || stress_failed=1
+echo "chaos load-stress wall time: $(( $(date +%s) - stress_t0 ))s"
+if [ "${stress_failed}" -ne 0 ]; then
+    cat target/chaos-stress-1.log target/chaos-stress-2.log >&2
+    echo "check.sh: FAIL — chaos tests failed under load" >&2
+    exit 1
+fi
+
 # Service gate: serve/submit round-trips over real sockets — byte-level
 # parity with local `reduce` (stdout and exit codes), the chaos matrix
 # through the server's environment, protocol failures as exit 5, and
