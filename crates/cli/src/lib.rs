@@ -10,18 +10,20 @@
 //!
 //! The PMTBR-family entries are thin [`pmtbr::ReductionPlan`]
 //! constructors executed by [`pmtbr::pipeline::run`], which means every
-//! method inherits the tolerant parallel sweep: `PMTBR_FAULT` degrades
-//! the quadrature instead of erroring, `--threads` pins the worker
-//! count, `--trace` records the sweep, and the returned
-//! [`SweepDiagnostics`] drive the binary's exit-code policy uniformly.
+//! method inherits the tolerant parallel sweep: an injected fault plan
+//! ([`ReduceRequest::faults`], from `PMTBR_FAULT` via
+//! [`fault_plan_from_env`]) degrades the quadrature instead of
+//! erroring, `--threads` pins the worker count, `--trace` records the
+//! sweep, and the returned [`SweepDiagnostics`] drive the binary's
+//! exit-code policy uniformly.
 //! The Krylov and dense-TBR baselines carry no sweep diagnostics
 //! (`diagnostics: None`) and are always strict.
 
 use lti::{Descriptor, StateSpace};
 use numkit::c64;
 use pmtbr::{
-    ArtifactCache, Budget, InputCorrelatedOptions, PipelineReport, PmtbrOptions, ReductionPlan,
-    Sampling, SweepDiagnostics,
+    ArtifactCache, Budget, FaultPlan, InputCorrelatedOptions, PipelineReport, PmtbrOptions,
+    ReductionPlan, RunCtx, Sampling, SweepDiagnostics,
 };
 
 mod policy;
@@ -29,6 +31,23 @@ mod service;
 
 pub use policy::{evaluate_acceptance, summarize_pipeline, summarize_sweep, Acceptance, Verdict};
 pub use service::{handle_job, mat_to_wire, wire_to_mat};
+
+/// Reads the chaos-testing fault plan from the `PMTBR_FAULT`
+/// environment variable (grammar: [`FaultPlan::parse_spec`]). This is
+/// the only place the variable is read; the library takes the plan as
+/// [`RunCtx::faults`].
+///
+/// # Errors
+///
+/// `Ok(None)` when the variable is unset, empty, `off`, or `0`; `Err`
+/// with the parse error for a malformed spec — a bad spec must never
+/// run silently unfaulted.
+pub fn fault_plan_from_env() -> Result<Option<FaultPlan>, String> {
+    match std::env::var("PMTBR_FAULT") {
+        Ok(spec) => FaultPlan::parse_spec(&spec),
+        Err(_) => Ok(None),
+    }
+}
 
 /// What `reduce` collected from the command line; method runners read
 /// only the fields they use.
@@ -57,6 +76,10 @@ pub struct ReduceRequest {
     /// Greedy-sampling hard shift budget (`--greedy-max-shifts`;
     /// defaults to `--samples`). Only the `greedy` method reads it.
     pub greedy_max_shifts: Option<usize>,
+    /// Deterministic fault injection (`PMTBR_FAULT`, read by
+    /// [`fault_plan_from_env`]); only the pipeline-backed methods
+    /// inject it, the strict baselines ignore it.
+    pub faults: Option<FaultPlan>,
 }
 
 impl ReduceRequest {
@@ -71,6 +94,7 @@ impl ReduceRequest {
             budget: Budget::default(),
             greedy_tol: 1e-3,
             greedy_max_shifts: None,
+            faults: None,
         }
     }
 
@@ -146,8 +170,8 @@ fn run_plan(
     cache: &dyn ArtifactCache,
     label: &str,
 ) -> Result<MethodOutput, String> {
-    let red = pmtbr::pipeline::run_cached(sys, plan, &req.budget, cache)
-        .map_err(|e| e.to_string())?;
+    let ctx = RunCtx { faults: req.faults.clone(), budget: req.budget.clone(), cache };
+    let red = pmtbr::pipeline::run(sys, plan, &ctx).map_err(|e| e.to_string())?;
     Ok(MethodOutput {
         report: pipeline_report(label, &red),
         reduced: red.model.reduced.clone(),
@@ -173,43 +197,6 @@ fn run_cross(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -
 fn run_fsel(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
     let plan = ReductionPlan::frequency_selective(&req.bands, req.samples, req.order, req.tol);
     run_plan(sys, &plan, req, cache, "frequency-selective-pmtbr")
-}
-
-fn run_adaptive(sys: &Descriptor, req: &ReduceRequest, _cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    let m = pmtbr::adaptive_pmtbr(
-        sys,
-        adaptive_lo(req.omega_max),
-        req.omega_max,
-        req.tol,
-        req.samples.max(3),
-        req.order,
-    )
-    .map_err(|e| e.to_string())?;
-    let mut report = vec![
-        "method: adaptive-pmtbr".to_string(),
-        format!("order: {}", m.model.order),
-        format!("error_estimate: {:.6e}", m.model.error_estimate),
-        format!(
-            "samples_surviving: {}/{}",
-            m.diagnostics.surviving, m.diagnostics.requested
-        ),
-        format!("chosen_points: {}", m.chosen_omegas.len()),
-        "singular_values:".to_string(),
-    ];
-    for (i, s) in m.model.singular_values.iter().take(m.model.order + 5).enumerate() {
-        report.push(format!("  sigma_{i}: {s:.6e}"));
-    }
-    Ok(MethodOutput {
-        reduced: m.model.reduced,
-        report,
-        diagnostics: Some(m.diagnostics),
-        pipeline: None,
-    })
-}
-
-/// Adaptive bisection needs a nonzero lower edge well below the band.
-fn adaptive_lo(omega_max: f64) -> f64 {
-    omega_max * 1e-3
 }
 
 fn run_greedy(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
@@ -337,12 +324,6 @@ pub const METHODS: &[Method] = &[
         summary: "frequency-selective quadrature over --bands (paper Algorithm 2)",
         needs_order: false,
         run: run_fsel,
-    },
-    Method {
-        name: "adaptive",
-        summary: "residual-driven bisection of the band (paper Section V-B)",
-        needs_order: false,
-        run: run_adaptive,
     },
     Method {
         name: "greedy",

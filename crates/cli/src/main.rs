@@ -55,9 +55,9 @@
 //! "Error handling and exit codes"; keep the two in sync.)
 //!
 //! The `PMTBR_FAULT` environment variable injects deterministic faults
-//! for chaos-testing the ladder (see `pmtbr::FaultPlan::from_env`); a
-//! malformed spec is rejected up front with exit 1 rather than silently
-//! ignored.
+//! for chaos-testing the ladder (see `pmtbr_cli::fault_plan_from_env`);
+//! a malformed spec is rejected up front with exit 1 rather than
+//! silently ignored.
 
 use std::process::ExitCode;
 
@@ -240,7 +240,7 @@ fn parse_bands(spec: &str) -> Result<Vec<(f64, f64)>, String> {
     Ok(bands)
 }
 
-fn cmd_reduce(args: &Args) -> CmdResult {
+fn cmd_reduce(args: &Args, faults: Option<pmtbr::FaultPlan>) -> CmdResult {
     let path = args.positional.first().ok_or("reduce: missing netlist path")?;
     let sys = load(path)?;
     let band = args.num("band", 1e10)?;
@@ -271,9 +271,10 @@ fn cmd_reduce(args: &Args) -> CmdResult {
     req.budget.max_lu_factors = args.cap("budget-lu")?;
     req.budget.max_svd_sweeps = args.cap("budget-svd-sweeps")?;
     req.budget.max_sample_bytes = args.cap("budget-sample-bytes")?;
-    // PMTBR_FAULT (chaos testing) is the only fault source in
-    // production; real solver failures flow through the same ladder and
-    // the same degradation accounting inside the pipeline.
+    // PMTBR_FAULT (chaos testing) is the only injected fault source;
+    // real solver failures flow through the same ladder and the same
+    // degradation accounting inside the pipeline.
+    req.faults = faults;
     let out = (method.run)(&sys, &req, &pmtbr::NullCache).map_err(Failure::Error)?;
 
     // The acceptance policy — shared verbatim with `submit` via
@@ -531,10 +532,13 @@ fn main() -> ExitCode {
     // Reject a malformed PMTBR_FAULT spec up front (satellite of the
     // fault-containment work): a chaos run with a typo'd spec must fail
     // loudly, not silently run without faults.
-    if let Err(e) = pmtbr::FaultPlan::from_env() {
-        eprintln!("error: invalid PMTBR_FAULT: {e}");
-        return ExitCode::FAILURE;
-    }
+    let faults = match pmtbr_cli::fault_plan_from_env() {
+        Ok(faults) => faults,
+        Err(e) => {
+            eprintln!("error: invalid PMTBR_FAULT: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if let Some(t) = args.flag_value("threads") {
         match t.parse::<usize>() {
             Ok(n) if n > 0 => std::env::set_var("PMTBR_THREADS", n.to_string()),
@@ -565,7 +569,7 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&args),
         "hsv" => cmd_hsv(&args),
         "transient" => cmd_transient(&args),
-        "reduce" => cmd_reduce(&args),
+        "reduce" => cmd_reduce(&args, faults),
         "serve" => cmd_serve(&args),
         "submit" => cmd_submit(&args, trace_path.as_deref()),
         "help" | "--help" | "-h" => {

@@ -51,8 +51,14 @@ pub fn wire_to_mat(w: &WireMat) -> Result<DMat, String> {
     Ok(m)
 }
 
-/// Builds the local [`ReduceRequest`] a job's flags describe.
-fn reduce_request(job: &JobRequest) -> ReduceRequest {
+/// Builds the local [`ReduceRequest`] a job's flags describe. The fault
+/// plan comes from the server's own `PMTBR_FAULT`, read per job, so a
+/// daemon started under chaos testing faults every job it runs.
+///
+/// # Errors
+///
+/// A malformed `PMTBR_FAULT` spec (the job must not run unfaulted).
+fn reduce_request(job: &JobRequest) -> Result<ReduceRequest, String> {
     let mut req = ReduceRequest::new(job.omega_max, job.samples as usize);
     req.tol = job.tol;
     req.order = job.order.map(|o| o as usize);
@@ -64,7 +70,8 @@ fn reduce_request(job: &JobRequest) -> ReduceRequest {
     req.budget.max_lu_factors = job.budget_lu;
     req.budget.max_svd_sweeps = job.budget_svd;
     req.budget.max_sample_bytes = job.budget_bytes;
-    req
+    req.faults = crate::fault_plan_from_env().map_err(|e| format!("invalid PMTBR_FAULT: {e}"))?;
+    Ok(req)
 }
 
 /// Runs one job against the shared artifact cache.
@@ -89,7 +96,10 @@ pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
             crate::method_list()
         ));
     };
-    let req = reduce_request(job);
+    let req = match reduce_request(job) {
+        Ok(req) => req,
+        Err(e) => return JobResponse::Err(e),
+    };
     if job.trace {
         obs::install(obs::ClockKind::Counter);
     }
@@ -143,7 +153,7 @@ mod tests {
         // The same flags run locally, straight through the registry.
         let sys = circuits::parse_netlist(&job.netlist).unwrap().build().unwrap();
         let method = crate::find("pmtbr").unwrap();
-        let local = (method.run)(&sys, &reduce_request(&job), &NullCache).unwrap();
+        let local = (method.run)(&sys, &reduce_request(&job).unwrap(), &NullCache).unwrap();
         assert_eq!(remote.report_lines, local.report);
         for (wire, here) in [
             (&remote.a, &local.reduced.a),

@@ -22,7 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Bump on any change to rules, extraction, or this serialization.
-pub const RULESET_VERSION: u32 = 2;
+pub const RULESET_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit hash (std-only; no external hashing crates by design).
 pub fn fnv64(bytes: &[u8]) -> u64 {

@@ -16,6 +16,8 @@
 //! - **Concurrency discipline** (CONC01): no `static mut`, and atomics
 //!   stick to `Ordering::Relaxed` — every atomic in the workspace is an
 //!   independent counter, never a synchronization point.
+//! - **Explicit inputs** (ENV01): library crates read no environment
+//!   variables; the binaries parse the environment at their edge.
 //!
 //! Since v2 the analyzer is whole-workspace, not per-file: a symbol
 //! pass ([`symbols`]) extracts a module-path-qualified function table

@@ -9,6 +9,7 @@
 //! | FLOAT02 | `numkit`/`sparsekit` `src/`   | bare `as usize`/`as f64` casts                    |
 //! | ERR01   | seven library crates' `src/`  | `panic!` inside `Result`-returning pub fns        |
 //! | CONC01  | workspace, non-test           | `static mut`; atomic orderings other than Relaxed |
+//! | ENV01   | eight library crates' `src/`  | `env::var`/`var_os`/`vars`/`vars_os` reads        |
 //!
 //! Three more rules are *interprocedural* and live in
 //! `engine::workspace_diagnostics` because they need the whole-workspace
@@ -81,6 +82,12 @@ pub const RULES: &[Rule] = &[
         summary: "no `static mut`; atomic loads/stores use Ordering::Relaxed only",
         applies: |_| true,
         check: conc01,
+    },
+    Rule {
+        id: "ENV01",
+        summary: "no environment-variable reads (std::env::var/var_os/vars) in library crates",
+        applies: FileClass::is_library_src,
+        check: env01,
     },
 ];
 
@@ -604,6 +611,39 @@ fn conc01(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
                     ),
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// ENV01 — environment reads in library crates
+// ---------------------------------------------------------------------------
+
+/// A library run takes its inputs as arguments: an environment variable
+/// read inside a library crate is a hidden global input that no caller
+/// can see, and one that the cache key and the tests cannot see either.
+/// The binaries read the environment at their edge and pass values in.
+/// Flags `env::var`, `env::var_os`, `env::vars`, and `env::vars_os`
+/// path segments (calls and `use` imports alike); writes (`set_var`),
+/// `env::args`, and the `env!` macro are not reads of the run's inputs.
+fn env01(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
+    let toks = &ctx.lexed.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        let Some(id) = t.ident() else { continue };
+        if matches!(id, "var" | "var_os" | "vars" | "vars_os")
+            && i >= 2
+            && toks[i - 1].is_punct("::")
+            && toks[i - 2].is_ident("env")
+        {
+            diag(
+                out,
+                t,
+                "ENV01",
+                format!(
+                    "`env::{id}` in a library crate is a hidden global input; take the \
+                     value as an argument and read the environment in the binary"
+                ),
+            );
         }
     }
 }

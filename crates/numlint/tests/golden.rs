@@ -93,6 +93,11 @@ fn conc01_atomic_discipline() {
 }
 
 #[test]
+fn env01_environment_reads() {
+    check_fixture("env01");
+}
+
+#[test]
 fn suppressions() {
     check_fixture("suppress");
 }
@@ -170,7 +175,7 @@ fn ws_interprocedural_rules() {
     assert_eq!(panic02.len(), 1, "{findings:?}");
     assert_eq!(panic02[0].0, "crates/pmtbr/src/lib.rs");
     assert!(panic02[0].1.chain.iter().any(|s| s.file.starts_with("crates/numkit/")));
-    let guarded_line = 13; // `pub fn run_guarded` in the pmtbr fixture
+    let guarded_line = 13; // the catch_unwind-contained fn in the pmtbr fixture
     assert!(
         !findings.iter().any(|(p, d)| p.contains("pmtbr") && d.line == guarded_line),
         "catch_unwind-contained entry point must stay clean: {findings:?}"

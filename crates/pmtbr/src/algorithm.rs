@@ -10,7 +10,7 @@
 use lti::{LtiSystem, NoFaults, RecoveryPolicy, StateSpace};
 use numkit::{svd, svd_left_with_opts, svd_with_opts, DMat, LeftSvd, NumError, Svd, SvdOptions};
 
-use crate::pipeline::{InputDirections, ReductionPlan, SweptSamples};
+use crate::pipeline::{InputDirections, ReductionPlan, RunCtx, SweptSamples};
 use crate::{SamplePoint, Sampling};
 
 /// SVD of the sample matrix with a convergence safety net.
@@ -280,10 +280,11 @@ pub struct PmtbrModel {
 /// Runs PMTBR (Algorithm 1) end to end.
 ///
 /// Equivalent to executing [`ReductionPlan::pmtbr`] through
-/// [`crate::pipeline::run`]: the sweep honors `PMTBR_FAULT` (degrading
-/// gracefully and discarding the per-point account — use
-/// [`crate::pmtbr_tolerant`] or the pipeline API to inspect it) and is
-/// traced under the `pmtbr.sample_sweep` span.
+/// [`crate::pipeline::run`] with [`RunCtx::default`]: failed nodes
+/// degrade the sweep gracefully and the per-point account is discarded
+/// (run the plan through the pipeline to inspect it, or to inject a
+/// [`crate::FaultPlan`]), and the run is traced under the
+/// `pmtbr.sample_sweep` span.
 ///
 /// # Errors
 ///
@@ -306,7 +307,7 @@ pub struct PmtbrModel {
 /// # }
 /// ```
 pub fn pmtbr<S: LtiSystem + ?Sized>(sys: &S, opts: &PmtbrOptions) -> Result<PmtbrModel, NumError> {
-    Ok(crate::pipeline::run(sys, &ReductionPlan::pmtbr(opts))?.model)
+    Ok(crate::pipeline::run(sys, &ReductionPlan::pmtbr(opts), &RunCtx::default())?.model)
 }
 
 /// Projects a system onto a precomputed [`SampleBasis`] under the given

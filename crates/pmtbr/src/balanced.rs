@@ -13,7 +13,7 @@
 use lti::LtiSystem;
 use numkit::NumError;
 
-use crate::pipeline::ReductionPlan;
+use crate::pipeline::{ReductionPlan, RunCtx};
 use crate::{PmtbrModel, Sampling};
 
 /// Runs balanced (two-sided) PMTBR.
@@ -25,8 +25,8 @@ use crate::{PmtbrModel, Sampling};
 /// Executes [`ReductionPlan::balanced`] through the shared pipeline:
 /// both pencil sweeps (`(sE − A)⁻¹·B` and `(sE − A)⁻ᵀ·Cᵀ`) run through
 /// the tolerant parallel engine, a node survives only if *both* sides
-/// solved, and under `PMTBR_FAULT` the quadrature degrades with
-/// renormalized weights instead of erroring.
+/// solved, and a failed node degrades the quadrature with renormalized
+/// weights instead of erroring.
 ///
 /// # Errors
 ///
@@ -52,7 +52,8 @@ pub fn balanced_pmtbr<S: LtiSystem + ?Sized>(
     sampling: &Sampling,
     order: usize,
 ) -> Result<PmtbrModel, NumError> {
-    Ok(crate::pipeline::run(sys, &ReductionPlan::balanced(sampling, order))?.model)
+    let plan = ReductionPlan::balanced(sampling, order);
+    Ok(crate::pipeline::run(sys, &plan, &RunCtx::default())?.model)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Deterministic work budgets for the reduction pipeline.
 //!
-//! A [`Budget`] caps how much numerical work [`crate::pipeline::run_guarded`]
+//! A [`Budget`] caps how much numerical work [`crate::pipeline::run`]
 //! may spend, measured **exclusively** in the deterministic `obs`
 //! counters — LU factorizations, Jacobi SVD sweeps, retained sample
 //! bytes — never wall-clock time. Because every counter is a pure

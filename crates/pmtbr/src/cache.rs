@@ -14,7 +14,7 @@
 //! [`lti::LtiSystem::pencil_hash`] and a digest of everything else that
 //! can change the bits of the result — the full [`ReductionPlan`]
 //! (sampling nodes, input directions, compressor, order control), the
-//! raw `PMTBR_FAULT` environment spec, and the [`Budget`] caps. Two
+//! run's [`FaultPlan`], and the [`Budget`] caps. Two
 //! runs with equal keys are bit-identical by the determinism contract,
 //! so a cache hit is exact, never approximate.
 //!
@@ -51,7 +51,7 @@ use numkit::DMat;
 use obs::Counter;
 
 use crate::pipeline::{Compressor, InputDirections, OrderControl, ReductionPlan, Reduction};
-use crate::{Budget, Sampling};
+use crate::{Budget, FaultPlan, Sampling};
 
 /// Which pipeline stage an artifact caches. Part of the key, so kinds
 /// can never collide even when their digests do.
@@ -233,7 +233,7 @@ pub trait ArtifactCache: Send + Sync {
 
 /// The no-op cache: every lookup misses, every offer is discarded.
 ///
-/// This is the backend behind the plain `run_*` entry points, which
+/// This is the backend of [`crate::pipeline::RunCtx::default`], which
 /// keeps the cached and uncached code paths literally the same path.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullCache;
@@ -349,18 +349,30 @@ impl ArtifactCache for LruCache {
     }
 }
 
-/// Digest of the raw `PMTBR_FAULT` environment spec. Fault injection
-/// changes results bit-for-bit, so it must be part of every key; the
-/// raw string is hashed (not the parsed plan) because parsing is
-/// total on the cached path anyway — a malformed spec never reaches a
-/// lookup.
-pub(crate) fn fault_env_digest() -> u64 {
+/// Digest of the fault plan a run actually uses. Fault injection
+/// changes results bit-for-bit, so it must be part of every key. `None`
+/// hashes to the same word an unset `PMTBR_FAULT` variable did when the
+/// key was taken from the environment, so fault-free keys (and the
+/// `cache_lookup` digests in traces) are unchanged; a plan hashes its
+/// seed, rate bits, kinds, depth, and stages, in that order.
+pub(crate) fn fault_digest(faults: Option<&FaultPlan>) -> u64 {
     let mut h = Fnv64::new();
     h.label("pmtbr-fault-env-v1");
-    match std::env::var("PMTBR_FAULT") {
-        Ok(spec) => h.label(&spec),
-        Err(_) => h.word(0),
-    };
+    match faults {
+        None => {
+            h.word(0);
+        }
+        Some(p) => {
+            h.word(1).word(p.seed).word(p.rate.to_bits()).word(p.kinds.len() as u64);
+            for kind in &p.kinds {
+                h.word(*kind as u64);
+            }
+            h.word(p.depth as u64).word(p.stages.len() as u64);
+            for stage in &p.stages {
+                h.word(*stage as u64);
+            }
+        }
+    }
     h.finish()
 }
 
@@ -444,17 +456,17 @@ fn compressor_word(compressor: &Compressor) -> u64 {
     }
 }
 
-/// Digest of a full model request: plan + fault spec + budget caps.
+/// Digest of a full model request: plan + fault plan + budget caps.
 /// Everything that can change the finished model's bits, except the
 /// pencil itself (which is the other half of the key).
-pub(crate) fn model_digest(plan: &ReductionPlan, env: u64, budget: &Budget) -> u64 {
+pub(crate) fn model_digest(plan: &ReductionPlan, faults: u64, budget: &Budget) -> u64 {
     let mut h = Fnv64::new();
     h.label("pmtbr-model-key-v1");
     sampling_words(&mut h, &plan.sampling);
     directions_words(&mut h, &plan.directions);
     h.word(compressor_word(&plan.compressor));
     order_words(&mut h, &plan.order);
-    h.word(env);
+    h.word(faults);
     budget_words(&mut h, budget);
     h.finish()
 }
@@ -464,13 +476,13 @@ pub(crate) fn model_digest(plan: &ReductionPlan, env: u64, budget: &Budget) -> u
 /// sweep also solves the transposed system), and order control not at
 /// all — that is exactly what lets plans differing only in compressor
 /// or order share one cached sweep.
-pub(crate) fn sweep_digest(plan: &ReductionPlan, env: u64, budget: &Budget) -> u64 {
+pub(crate) fn sweep_digest(plan: &ReductionPlan, faults: u64, budget: &Budget) -> u64 {
     let mut h = Fnv64::new();
     h.label("pmtbr-sweep-key-v1");
     sampling_words(&mut h, &plan.sampling);
     directions_words(&mut h, &plan.directions);
     h.word(u64::from(plan.compressor.is_two_sided()));
-    h.word(env);
+    h.word(faults);
     budget_words(&mut h, budget);
     h.finish()
 }

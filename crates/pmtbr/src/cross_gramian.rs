@@ -17,16 +17,16 @@
 use lti::LtiSystem;
 use numkit::NumError;
 
-use crate::pipeline::ReductionPlan;
+use crate::pipeline::{ReductionPlan, RunCtx};
 use crate::{PmtbrModel, Sampling};
 
 /// Runs cross-Gramian PMTBR, producing an order-`order` two-sided model.
 ///
 /// Executes [`ReductionPlan::cross_gramian`] through the shared
 /// pipeline: both pencil sweeps run through the tolerant parallel
-/// engine, a node survives only if *both* sides solved, and under
-/// `PMTBR_FAULT` the quadrature degrades with renormalized weights
-/// instead of erroring.
+/// engine, a node survives only if *both* sides solved, and a failed
+/// node degrades the quadrature with renormalized weights instead of
+/// erroring.
 ///
 /// # Errors
 ///
@@ -52,7 +52,8 @@ pub fn cross_gramian_pmtbr<S: LtiSystem + ?Sized>(
     sampling: &Sampling,
     order: usize,
 ) -> Result<PmtbrModel, NumError> {
-    Ok(crate::pipeline::run(sys, &ReductionPlan::cross_gramian(sampling, order))?.model)
+    let plan = ReductionPlan::cross_gramian(sampling, order);
+    Ok(crate::pipeline::run(sys, &plan, &RunCtx::default())?.model)
 }
 
 #[cfg(test)]

@@ -16,9 +16,10 @@
 //! bit-identical-at-any-thread-count guarantee, and a failing run
 //! reproduces exactly.
 //!
-//! The plan can also be read from the `PMTBR_FAULT` environment
-//! variable (see [`FaultPlan::from_env`]), which is how the CLI exposes
-//! chaos testing without a dedicated flag:
+//! A run takes its plan from [`crate::pipeline::RunCtx::faults`]; the
+//! library never reads it from the environment. The `pmtbr-cli` binary
+//! exposes chaos testing without a dedicated flag by parsing the
+//! `PMTBR_FAULT` variable with [`FaultPlan::parse_spec`]:
 //!
 //! ```text
 //! PMTBR_FAULT="seed=42,rate=0.25,kinds=singular|nan|drift|panic,stage=compress"
@@ -28,42 +29,8 @@
 //! chaos harness that typos `rate=0.5` into `rte=0.5` must hear about
 //! it instead of concluding the pipeline survived a storm it never saw.
 
-use lti::{NoFaults, SolveFault};
+use lti::SolveFault;
 use numkit::{c64, NumError, SplitMix64, ZMat};
-
-/// Stage-level fault injection: everything [`SolveFault`] covers for
-/// the sweep, plus deterministic poisoning of compress/project
-/// attempts in [`crate::pipeline::run_guarded`].
-///
-/// The `attempt` argument is the pipeline's per-stage attempt counter
-/// (0 = first try), shared across a stage's whole recovery ladder — so
-/// a fault of depth `d` forces exactly `d` escalations before letting
-/// the stage through, whichever rung those escalations land on.
-pub trait StageFault: SolveFault {
-    /// The error to inject into attempt `attempt` of `stage`; `None`
-    /// lets the attempt run normally.
-    fn stage_error(&self, _stage: FaultStage, _attempt: usize) -> Option<NumError> {
-        None
-    }
-
-    /// `true` when attempt `attempt` of `stage` must panic (the stage
-    /// ladder contains the unwind).
-    fn stage_panics(&self, _stage: FaultStage, _attempt: usize) -> bool {
-        false
-    }
-}
-
-impl StageFault for NoFaults {}
-
-impl StageFault for FaultPlan {
-    fn stage_error(&self, stage: FaultStage, attempt: usize) -> Option<NumError> {
-        FaultPlan::stage_error(self, stage, attempt)
-    }
-
-    fn stage_panics(&self, stage: FaultStage, attempt: usize) -> bool {
-        FaultPlan::stage_panics(self, stage, attempt)
-    }
-}
 
 /// The kinds of injectable faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,13 +107,20 @@ impl FaultStage {
 
 /// A deterministic fault-injection plan over sweep indices and
 /// pipeline stages.
+///
+/// The stage hooks ([`FaultPlan::stage_error`],
+/// [`FaultPlan::stage_panics`]) take the pipeline's per-stage attempt
+/// counter (0 = first try), shared across a stage's whole recovery
+/// ladder — so a fault of depth `d` forces exactly `d` escalations
+/// before letting the stage through, whichever rung those escalations
+/// land on.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    seed: u64,
-    rate: f64,
-    kinds: Vec<FaultKind>,
-    depth: usize,
-    stages: Vec<FaultStage>,
+    pub(crate) seed: u64,
+    pub(crate) rate: f64,
+    pub(crate) kinds: Vec<FaultKind>,
+    pub(crate) depth: usize,
+    pub(crate) stages: Vec<FaultStage>,
 }
 
 impl FaultPlan {
@@ -171,7 +145,7 @@ impl FaultPlan {
         self
     }
 
-    /// Reads a plan from the `PMTBR_FAULT` environment variable.
+    /// Parses a `PMTBR_FAULT`-style spec string.
     ///
     /// Comma-separated `key=value` pairs: `seed` (u64, default 0),
     /// `rate` (fraction in `[0,1]`, default 0.25), `kinds`
@@ -181,23 +155,10 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// `Ok(None)` when the variable is unset, empty, `off`, or `0`;
-    /// `Err` with a human-readable message for unknown keys or
-    /// malformed values — a bad spec must never run unfaulted.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("PMTBR_FAULT") {
-            Ok(spec) => FaultPlan::parse_spec(&spec),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// Parses a `PMTBR_FAULT`-style spec string (see [`FaultPlan::from_env`]
-    /// for the grammar) without touching the process environment.
-    ///
-    /// # Errors
-    ///
-    /// `Ok(None)` for an empty, `off`, or `0` spec; `Err` for unknown
-    /// keys, unknown kind/stage tokens, or unparsable values.
+    /// `Ok(None)` for an empty, `off`, or `0` spec; `Err` with a
+    /// human-readable message for unknown keys, unknown kind/stage
+    /// tokens, or unparsable values — a bad spec must never run
+    /// unfaulted.
     pub fn parse_spec(spec: &str) -> Result<Option<FaultPlan>, String> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "off" || spec == "0" {
@@ -448,9 +409,6 @@ mod tests {
 
     #[test]
     fn spec_parsing_roundtrip() {
-        // Exercise the spec parser directly — mutating the live
-        // environment here would race with other tests in this binary
-        // that run the pipeline (which consults PMTBR_FAULT).
         let plan = FaultPlan::parse_spec("seed=9,rate=0.5,kinds=drift|panic,depth=3")
             .expect("spec must be well-formed")
             .expect("plan must parse");

@@ -12,7 +12,7 @@
 use lti::LtiSystem;
 use numkit::NumError;
 
-use crate::pipeline::ReductionPlan;
+use crate::pipeline::{ReductionPlan, RunCtx};
 use crate::PmtbrModel;
 
 /// Runs frequency-selective PMTBR over the union of `bands`
@@ -20,7 +20,7 @@ use crate::PmtbrModel;
 ///
 /// Executes [`ReductionPlan::frequency_selective`] through the shared
 /// pipeline, so band-restricted sweeps get the same parallel engine,
-/// fault-tolerance ladder (`PMTBR_FAULT` degrades the quadrature
+/// fault-tolerance ladder (a failed node degrades the quadrature
 /// instead of erroring), and tracing as every other variant.
 ///
 /// # Errors
@@ -49,7 +49,7 @@ pub fn frequency_selective_pmtbr<S: LtiSystem + ?Sized>(
     tolerance: f64,
 ) -> Result<PmtbrModel, NumError> {
     let plan = ReductionPlan::frequency_selective(bands, n_samples, max_order, tolerance);
-    Ok(crate::pipeline::run(sys, &plan)?.model)
+    Ok(crate::pipeline::run(sys, &plan, &RunCtx::default())?.model)
 }
 
 #[cfg(test)]

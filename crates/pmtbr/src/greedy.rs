@@ -45,7 +45,7 @@
 //! the same tolerant escalation ladder every fixed-grid sweep uses — so
 //! greedy composes with the recovery ladder (a dropped shift re-enters
 //! selection instead of silently shrinking the basis), with
-//! `pmtbr::Budget`'s LU node cap, and with `PMTBR_FAULT` chaos testing.
+//! `pmtbr::Budget`'s LU node cap, and with [`crate::FaultPlan`] chaos testing.
 //!
 //! The driver is strictly sequential (the parallelism lives inside each
 //! tolerant solve), so the selected shifts, the trace events, and the

@@ -17,7 +17,7 @@
 use lti::LtiSystem;
 use numkit::{DMat, NumError};
 
-use crate::pipeline::ReductionPlan;
+use crate::pipeline::{ReductionPlan, RunCtx};
 use crate::{PmtbrModel, Sampling};
 
 /// Configuration for input-correlated PMTBR.
@@ -60,9 +60,9 @@ impl InputCorrelatedOptions {
 ///
 /// Executes [`ReductionPlan::input_correlated`] through the shared
 /// pipeline: the stochastic draws become per-node input directions for
-/// the same tolerant, parallel, traced sweep every variant uses —
-/// under `PMTBR_FAULT` the quadrature degrades gracefully instead of
-/// erroring, exactly like the other entry points.
+/// the same tolerant, parallel, traced sweep every variant uses — a
+/// failed node degrades the quadrature gracefully instead of erroring,
+/// exactly like the other entry points.
 ///
 /// # Errors
 ///
@@ -94,7 +94,7 @@ pub fn input_correlated_pmtbr<S: LtiSystem + ?Sized>(
     opts: &InputCorrelatedOptions,
 ) -> Result<PmtbrModel, NumError> {
     let plan = ReductionPlan::input_correlated(u_samples, opts);
-    Ok(crate::pipeline::run(sys, &plan)?.model)
+    Ok(crate::pipeline::run(sys, &plan, &RunCtx::default())?.model)
 }
 
 #[cfg(test)]

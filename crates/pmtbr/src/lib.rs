@@ -24,7 +24,8 @@
 //!   nonsymmetric systems;
 //! - [`balanced_pmtbr`] — square-root balancing of *sampled*
 //!   controllability and observability Gramians (two-sided);
-//! - [`adaptive_pmtbr`] — residual-driven bisection point selection;
+//! - [`Sampling::Greedy`] — greedy shift placement with a solve-free
+//!   surrogate and frequency-aware stopping ([`ReductionPlan::greedy`]);
 //! - [`pod_reduce`] — snapshot-based (time-domain empirical Gramian)
 //!   reduction, the statistical interpretation taken literally;
 //! - [`IncrementalBasis`] — on-the-fly order control without re-SVDs
@@ -34,8 +35,10 @@
 //! core: [`pipeline::ReductionPlan`] describes the reduction (sampling,
 //! input directions, compressor, order control) and [`pipeline::run`]
 //! executes it through the shared tolerant multipoint sweep — so
-//! parallelism, fault tolerance (`PMTBR_FAULT`), weight
-//! renormalization, and tracing behave identically across variants.
+//! parallelism, fault tolerance, weight renormalization, caching, and
+//! tracing behave identically across variants. A [`pipeline::RunCtx`]
+//! carries the run's [`FaultPlan`], [`Budget`], and [`ArtifactCache`];
+//! the library reads none of them from the environment.
 //!
 //! All of them accept anything implementing `lti::LtiSystem`, including
 //! sparse descriptor systems with singular `E` (Section V-A).
@@ -61,7 +64,6 @@
 // are reserved for violated internal invariants (and tests).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-mod adaptive;
 mod balanced;
 mod algorithm;
 mod budget;
@@ -78,7 +80,6 @@ mod pod;
 mod sampling;
 mod sweep;
 
-pub use adaptive::{adaptive_pmtbr, AdaptiveModel};
 pub use balanced::balanced_pmtbr;
 pub use algorithm::{pmtbr, reduce_with_basis, sample_basis, PmtbrModel, PmtbrOptions, SampleBasis};
 pub use cross_gramian::cross_gramian_pmtbr;
@@ -90,11 +91,11 @@ pub use cache::{
     NullCache,
 };
 pub use order_control::IncrementalBasis;
-pub use fault::{FaultKind, FaultPlan, FaultStage, StageFault};
+pub use fault::{FaultKind, FaultPlan, FaultStage};
 pub use pipeline::{
-    Compressor, InputDirections, OrderControl, PipelineReport, Reduction, ReductionPlan,
+    Compressor, InputDirections, OrderControl, PipelineReport, Reduction, ReductionPlan, RunCtx,
     StageOutcome,
 };
 pub use pod::{pod_reduce, PodOptions};
 pub use sampling::{SamplePoint, Sampling};
-pub use sweep::{pmtbr_tolerant, sample_basis_tolerant, SweepDiagnostics};
+pub use sweep::{sample_basis_tolerant, SweepDiagnostics};

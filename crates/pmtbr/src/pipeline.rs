@@ -29,18 +29,21 @@
 //!   ([`ReductionPlan::balanced`]) or the joint cross-Gramian
 //!   eigenproblem ([`ReductionPlan::cross_gramian`]).
 //!
-//! Because there is exactly one execution core ([`run_guarded`]),
-//! every variant inherits the same guarantees: the parallel
-//! factorization-reusing `ShiftSolveEngine`, the fault-tolerance
-//! escalation ladders with [`SweepDiagnostics`] and [`PipelineReport`],
-//! `PMTBR_FAULT` chaos testing ([`run`]), deterministic work budgets
-//! with cooperative cancellation ([`Budget`]), `obs` tracing, and
+//! There is exactly one way to execute a plan, [`run`], and everything
+//! besides the system and the plan arrives in its [`RunCtx`]: the
+//! [`FaultPlan`] (chaos testing), the [`Budget`], and the
+//! [`ArtifactCache`]. The library reads no environment variable for
+//! any of them. Every variant therefore inherits the same guarantees:
+//! the parallel factorization-reusing `ShiftSolveEngine`, the
+//! fault-tolerance escalation ladders with [`SweepDiagnostics`] and
+//! [`PipelineReport`], deterministic work budgets with cooperative
+//! cancellation, content-addressed caching, `obs` tracing, and
 //! bit-identical results at any thread count.
 //!
 //! ## Fault containment beyond the sweep
 //!
 //! The sweep stage has always degraded gracefully (its per-shift
-//! escalation ladder drops nodes instead of aborting). [`run_guarded`]
+//! escalation ladder drops nodes instead of aborting). [`run`]
 //! extends the same discipline to the other two stages:
 //!
 //! - **compress** escalates through a deterministic ladder — plain SVD
@@ -73,7 +76,8 @@ use numkit::{
 
 use crate::algorithm::{equilibrated_svd, equilibrated_svd_left};
 use crate::budget::BudgetTracker;
-use crate::fault::{FaultStage, StageFault};
+use crate::cache::{ArtifactCache, NullCache};
+use crate::fault::{FaultPlan, FaultStage};
 use crate::{
     Budget, IncrementalBasis, InputCorrelatedOptions, PmtbrModel, PmtbrOptions, SamplePoint,
     Sampling, SweepDiagnostics,
@@ -143,16 +147,16 @@ pub enum OrderControl {
 
 /// A complete, declarative description of one reduction: sampling
 /// nodes/weights, input directions, compressor, and order control.
-/// Execute with [`run`] / [`run_with`].
+/// Execute with [`run`].
 ///
 /// ```
-/// use pmtbr::{pipeline::run, PmtbrOptions, ReductionPlan, Sampling};
+/// use pmtbr::{pipeline::{run, RunCtx}, PmtbrOptions, ReductionPlan, Sampling};
 ///
 /// # fn main() -> Result<(), numkit::NumError> {
 /// let sys = circuits::rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0)?;
 /// let opts =
 ///     PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 12 }).with_max_order(6);
-/// let red = run(&sys, &ReductionPlan::pmtbr(&opts))?;
+/// let red = run(&sys, &ReductionPlan::pmtbr(&opts), &RunCtx::default())?;
 /// assert!(red.model.order <= 6);
 /// assert!(red.report.is_clean());
 /// # Ok(())
@@ -249,14 +253,14 @@ impl ReductionPlan {
     /// [`ReductionPlan::sampling`] directly for a denser off-grid pool.
     ///
     /// ```
-    /// use pmtbr::{pipeline::run, OrderControl, ReductionPlan};
+    /// use pmtbr::{pipeline::{run, RunCtx}, OrderControl, ReductionPlan};
     ///
     /// # fn main() -> Result<(), numkit::NumError> {
     /// let sys = circuits::rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0)?;
     /// // At most 6 solves, stopping early once the surrogate or the
     /// // reduced transfer function has converged below 1e-4.
     /// let order = OrderControl::Tolerance { tolerance: 1e-8, max_order: Some(6) };
-    /// let red = run(&sys, &ReductionPlan::greedy(20.0, 1e-4, 6, order))?;
+    /// let red = run(&sys, &ReductionPlan::greedy(20.0, 1e-4, 6, order), &RunCtx::default())?;
     /// assert!(red.diagnostics.surviving <= 6);
     /// # Ok(())
     /// # }
@@ -410,122 +414,37 @@ pub struct Reduction {
     pub report: PipelineReport,
 }
 
-/// Executes a plan with the default [`RecoveryPolicy`], no budget, and
-/// the fault plan from the `PMTBR_FAULT` environment variable (none
-/// when unset) — so chaos testing applies uniformly to every variant.
+/// Everything a run takes besides the system and the plan: the fault
+/// plan (chaos testing), the deterministic work budget, and the
+/// artifact cache consulted at stage boundaries.
 ///
-/// # Errors
-///
-/// - [`NumError::InvalidArgument`] when `PMTBR_FAULT` is set but
-///   malformed — a bad spec must never run silently unfaulted. (The
-///   CLI validates the variable up front and prints the detailed parse
-///   error; this in-library error is deliberately static.)
-/// - See [`run_guarded`] for the rest.
-pub fn run<S: LtiSystem + ?Sized>(sys: &S, plan: &ReductionPlan) -> Result<Reduction, NumError> {
-    run_budgeted(sys, plan, &Budget::default())
+/// [`RunCtx::default`] is a plain run: no faults, an unlimited budget,
+/// and [`NullCache`](crate::cache::NullCache). Nothing here is read
+/// from the environment; the CLI parses `PMTBR_FAULT` at its edge and
+/// passes the plan in.
+pub struct RunCtx<'a> {
+    /// Deterministic fault injection (`None` = no faults). A plan from
+    /// [`FaultPlan::new`] targets the sweep only; see
+    /// [`FaultPlan::with_stages`].
+    pub faults: Option<FaultPlan>,
+    /// Work caps and the cooperative cancellation token.
+    pub budget: Budget,
+    /// Where finished models and sweeps are looked up and offered.
+    pub cache: &'a dyn ArtifactCache,
 }
 
-/// [`run`] with an explicit work budget: default policy, `PMTBR_FAULT`
-/// chaos faults, budget caps, and cooperative cancellation. This is
-/// what the CLI's `--budget-*` flags call.
-///
-/// # Errors
-///
-/// See [`run`] and [`run_guarded`].
-pub fn run_budgeted<S: LtiSystem + ?Sized>(
-    sys: &S,
-    plan: &ReductionPlan,
-    budget: &Budget,
-) -> Result<Reduction, NumError> {
-    run_cached(sys, plan, budget, &crate::cache::NullCache)
-}
-
-/// [`run_budgeted`] consulting a content-addressed [`ArtifactCache`](crate::ArtifactCache) at
-/// stage boundaries — the entry point behind reduction-as-a-service.
-///
-/// The lookup ladder, keyed on [`LtiSystem::pencil_hash`] plus a digest
-/// of the plan, the `PMTBR_FAULT` spec, and the budget caps:
-///
-/// 1. **Model hit** — the finished [`Reduction`] is returned and the
-///    trace events captured by the computing run are replayed
-///    byte-for-byte ([`obs::replay`]); the whole pipeline is skipped.
-/// 2. **Sweep hit** — the realified sample matrix is reused and the run
-///    skips straight to compress/project, so plans differing only in
-///    compressor or order control share the expensive LU sweep.
-/// 3. **Miss** — the full pipeline runs and its artifacts are offered
-///    for admission.
-///
-/// [`NullCache`](crate::cache::NullCache) (what [`run_budgeted`] uses)
-/// makes every lookup miss, so cached and uncached runs execute the
-/// identical code path and are byte-identical — model, report, trace,
-/// and counters. A Degraded result is never admitted (see
-/// [`crate::cache`] for the full identity contract).
-///
-/// # Errors
-///
-/// See [`run`] and [`run_guarded`]. A cache hit can still return
-/// [`NumError::Cancelled`] when the budget's token is already raised.
-pub fn run_cached<S: LtiSystem + ?Sized>(
-    sys: &S,
-    plan: &ReductionPlan,
-    budget: &Budget,
-    cache: &dyn crate::cache::ArtifactCache,
-) -> Result<Reduction, NumError> {
-    let policy = RecoveryPolicy::default();
-    match crate::fault::FaultPlan::from_env() {
-        Ok(Some(p)) => run_guarded_cached(sys, plan, &policy, &p, budget, cache),
-        Ok(None) => run_guarded_cached(sys, plan, &policy, &NoFaults, budget, cache),
-        Err(_) => Err(NumError::InvalidArgument(
-            "malformed PMTBR_FAULT spec: fix or unset it (the pmtbr CLI prints the detailed \
-             parse error)",
-        )),
+impl Default for RunCtx<'_> {
+    fn default() -> Self {
+        RunCtx { faults: None, budget: Budget::default(), cache: &NullCache }
     }
 }
 
-/// Executes a plan with an explicit recovery policy and sweep-level
-/// fault hook, no stage-level fault injection, and no budget.
+/// Executes a plan: sweep → compress → project, under the faults,
+/// budget, and cache of `ctx`. This is the one way to run a
+/// [`ReductionPlan`]; the paper-facing functions ([`crate::pmtbr`],
+/// [`crate::balanced_pmtbr`], …) call it with [`RunCtx::default`].
 ///
-/// Kept for callers that only need the sweep-stage [`SolveFault`]
-/// surface; [`run_guarded`] is the full execution core.
-///
-/// # Errors
-///
-/// See [`run_guarded`].
-pub fn run_with<S: LtiSystem + ?Sized>(
-    sys: &S,
-    plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn SolveFault,
-) -> Result<Reduction, NumError> {
-    run_guarded(sys, plan, policy, &SweepOnly(faults), &Budget::default())
-}
-
-/// Adapts a sweep-only [`SolveFault`] to the [`StageFault`] surface
-/// (stage hooks inert).
-struct SweepOnly<'a>(&'a dyn SolveFault);
-
-impl SolveFault for SweepOnly<'_> {
-    fn inject_error(&self, index: usize, attempt: usize) -> Option<NumError> {
-        self.0.inject_error(index, attempt)
-    }
-
-    fn corrupt(&self, index: usize, attempt: usize, z: &mut ZMat) {
-        self.0.corrupt(index, attempt, z);
-    }
-
-    fn inject_panic(&self, index: usize) -> bool {
-        self.0.inject_panic(index)
-    }
-}
-
-impl StageFault for SweepOnly<'_> {}
-
-/// Executes a plan: sweep → compress → project, with an explicit
-/// recovery policy, stage-level fault hook, and deterministic work
-/// budget.
-///
-/// This is the single execution core behind every reduction entry
-/// point. All shifted solves go through the tolerant multipoint sweep
+/// All shifted solves go through the tolerant multipoint sweep
 /// ([`LtiSystem::solve_shifted_many_tolerant`] and friends), so sparse
 /// systems get the factorization-reusing parallel engine; failures
 /// degrade the quadrature instead of aborting it; compression and
@@ -543,6 +462,26 @@ impl StageFault for SweepOnly<'_> {}
 /// [`numkit::CancelToken`] is polled at stage boundaries and once per
 /// sweep shift.
 ///
+/// # Cache
+///
+/// The lookup ladder is keyed on [`LtiSystem::pencil_hash`] plus a
+/// digest of the plan, `ctx.faults`, and the budget caps:
+///
+/// 1. **Model hit** — the finished [`Reduction`] is returned and the
+///    trace events captured by the computing run are replayed
+///    byte-for-byte ([`obs::replay`]); the whole pipeline is skipped.
+/// 2. **Sweep hit** — the realified sample matrix is reused and the run
+///    skips straight to compress/project, so plans differing only in
+///    compressor or order control share the expensive LU sweep.
+/// 3. **Miss** — the full pipeline runs and its artifacts are offered
+///    for admission.
+///
+/// [`NullCache`](crate::cache::NullCache) makes every lookup miss, so
+/// cached and uncached runs execute the identical code path and are
+/// byte-identical — model, report, trace, and counters. A Degraded
+/// result is never admitted (see [`crate::cache`] for the full identity
+/// contract). A system without a pencil hash is never looked up.
+///
 /// # Errors
 ///
 /// - Plan validation ([`NumError::InvalidArgument`]).
@@ -552,75 +491,51 @@ impl StageFault for SweepOnly<'_> {}
 /// - [`NumError::BudgetExhausted`] when a budget leaves room for no
 ///   work at all (e.g. zero remaining LU factorizations before the
 ///   sweep).
-/// - [`NumError::Cancelled`] when the budget's token is raised.
+/// - [`NumError::Cancelled`] when the budget's token is raised, even on
+///   a cache hit.
 /// - Propagates unrecoverable SVD/eigen/projection errors (after the
 ///   compressor ladder and fallbacks are exhausted).
 ///
 /// ```
-/// use lti::{NoFaults, RecoveryPolicy};
-/// use pmtbr::{
-///     pipeline::run_guarded, Budget, PmtbrOptions, ReductionPlan, Sampling, StageOutcome,
-/// };
+/// use pmtbr::pipeline::{run, RunCtx};
+/// use pmtbr::{Budget, PmtbrOptions, ReductionPlan, Sampling, StageOutcome};
 ///
 /// # fn main() -> Result<(), numkit::NumError> {
 /// let sys = circuits::rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0)?;
 /// let opts =
 ///     PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
-/// let plan = ReductionPlan::pmtbr(&opts);
-/// let red = run_guarded(
-///     &sys,
-///     &plan,
-///     &RecoveryPolicy::default(),
-///     &NoFaults,
-///     &Budget::default().with_max_lu_factors(1_000),
-/// )?;
+/// let ctx = RunCtx {
+///     budget: Budget::default().with_max_lu_factors(1_000),
+///     ..RunCtx::default()
+/// };
+/// let red = run(&sys, &ReductionPlan::pmtbr(&opts), &ctx)?;
 /// assert_eq!(red.report.worst(), StageOutcome::Clean);
 /// assert!(red.report.budget_exhausted.is_none());
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_guarded<S: LtiSystem + ?Sized>(
+pub fn run<S: LtiSystem + ?Sized>(
     sys: &S,
     plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn StageFault,
-    budget: &Budget,
-) -> Result<Reduction, NumError> {
-    run_core(sys, plan, policy, faults, budget, None, false).map(|(reduction, _)| reduction)
-}
-
-/// [`run_guarded`] with an [`ArtifactCache`](crate::cache::ArtifactCache)
-/// consulted at stage boundaries: the explicit-everything core behind
-/// [`run_cached`] (and the serve daemon). See [`run_cached`] for the
-/// lookup ladder and the identity contract.
-///
-/// # Errors
-///
-/// See [`run_guarded`].
-pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
-    sys: &S,
-    plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn StageFault,
-    budget: &Budget,
-    cache: &dyn crate::cache::ArtifactCache,
+    ctx: &RunCtx,
 ) -> Result<Reduction, NumError> {
     use crate::cache::{self, Artifact, CacheKey, CachedReduction};
 
     plan.validate()?;
-    BudgetTracker::start(budget).check_cancelled()?;
+    let tracker = BudgetTracker::start(&ctx.budget);
+    tracker.check_cancelled()?;
+    let faults = ctx.faults.as_ref();
     // A system without a content address cannot be cached; run the
     // identical core directly (no lookup spans: there is no key to
     // look up, and the omission is deterministic per system type).
     let Some(pencil) = sys.pencil_hash() else {
-        return run_core(sys, plan, policy, faults, budget, None, false)
-            .map(|(reduction, _)| reduction);
+        return run_core(sys, plan, faults, &tracker, None, false).map(|(reduction, _)| reduction);
     };
-    let env = cache::fault_env_digest();
+    let fault_word = cache::fault_digest(faults);
     let traced = obs::is_enabled();
 
-    let model_key = CacheKey::model(pencil, cache::model_digest(plan, env, budget));
-    if let Some(Artifact::Model(entry)) = cache.get(&model_key) {
+    let model_key = CacheKey::model(pencil, cache::model_digest(plan, fault_word, &ctx.budget));
+    if let Some(Artifact::Model(entry)) = ctx.cache.get(&model_key) {
         // An entry captured without a trace cannot serve a traced run:
         // replaying nothing would silently drop the pipeline spans, so
         // the lookup deterministically degrades to a miss.
@@ -635,8 +550,8 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
     }
     cache::record_lookup(&model_key, false);
 
-    let sweep_key = CacheKey::sweep(pencil, cache::sweep_digest(plan, env, budget));
-    let warm_sweep = match cache.get(&sweep_key) {
+    let sweep_key = CacheKey::sweep(pencil, cache::sweep_digest(plan, fault_word, &ctx.budget));
+    let warm_sweep = match ctx.cache.get(&sweep_key) {
         Some(Artifact::Sweep(s)) => {
             cache::record_lookup(&sweep_key, true);
             Some(s)
@@ -652,9 +567,9 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
     // live, before the mark).
     let mark = obs::flushed_len();
     let (reduction, sweep_artifact) =
-        run_core(sys, plan, policy, faults, budget, warm_sweep.as_deref(), true)?;
+        run_core(sys, plan, faults, &tracker, warm_sweep.as_deref(), true)?;
     if let Some(sw) = sweep_artifact {
-        cache::record_offer(cache, sweep_key, Artifact::Sweep(std::sync::Arc::new(sw)));
+        cache::record_offer(ctx.cache, sweep_key, Artifact::Sweep(std::sync::Arc::new(sw)));
     }
     // Poisoned-entry rejection: a Degraded result encodes this run's
     // fault/budget history and is never admitted.
@@ -670,7 +585,7 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
             events,
             traced: faithful,
         };
-        cache::record_offer(cache, model_key, Artifact::Model(std::sync::Arc::new(entry)));
+        cache::record_offer(ctx.cache, model_key, Artifact::Model(std::sync::Arc::new(entry)));
     }
     Ok(reduction)
 }
@@ -681,26 +596,18 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
 fn run_core<S: LtiSystem + ?Sized>(
     sys: &S,
     plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn StageFault,
-    budget: &Budget,
+    faults: Option<&FaultPlan>,
+    tracker: &BudgetTracker,
     warm_sweep: Option<&crate::cache::CachedSweep>,
     want_sweep_artifact: bool,
 ) -> Result<(Reduction, Option<crate::cache::CachedSweep>), NumError> {
-    plan.validate()?;
-    let tracker = BudgetTracker::start(budget);
-    tracker.check_cancelled()?;
     let mut report = PipelineReport::default();
-    // Thread the budget's cancellation token into the sweep policy when
-    // the caller didn't set one, so a single token stops every stage.
-    let policy_with_cancel;
-    let policy = match (policy.cancel.is_none(), tracker.cancel()) {
-        (true, Some(token)) => {
-            policy_with_cancel =
-                RecoveryPolicy { cancel: Some(token.clone()), ..policy.clone() };
-            &policy_with_cancel
-        }
-        _ => policy,
+    // The budget's cancellation token is the one cancellation source:
+    // threading it into the sweep policy stops every stage.
+    let policy = RecoveryPolicy { cancel: tracker.cancel().cloned(), ..RecoveryPolicy::default() };
+    let solve_faults: &dyn SolveFault = match faults {
+        Some(plan) => plan,
+        None => &NoFaults,
     };
     let mut sweep_span: Option<obs::SpanGuard> = None;
     let mut budget_truncated = 0;
@@ -723,8 +630,8 @@ fn run_core<S: LtiSystem + ?Sized>(
             &plan.sampling,
             &plan.directions,
             plan.compressor.is_two_sided(),
-            policy,
-            faults,
+            &policy,
+            solve_faults,
             tracker.node_cap(),
         )?;
         sweep_span = Some(span);
@@ -757,7 +664,7 @@ fn run_core<S: LtiSystem + ?Sized>(
     }
     tracker.check_cancelled()?;
     let compressed =
-        compress(&data.zmat, &data.blocks, data.zl.as_ref(), plan, faults, &tracker, &mut report)?;
+        compress(&data.zmat, &data.blocks, data.zl.as_ref(), plan, faults, tracker, &mut report)?;
     let svd_retried = compressed.retried();
     if budget_stage.is_none()
         && (report.budget_exhausted.is_some() || tracker.exhausted().is_some())
@@ -1166,7 +1073,7 @@ impl Compressed {
 }
 
 /// Hard cap on fault-poisoned attempts per stage, so a pathological
-/// [`StageFault`] cannot spin a recovery loop forever. Far above any
+/// [`FaultPlan`] cannot spin a recovery loop forever. Far above any
 /// real ladder depth; purely a determinism-preserving backstop.
 const MAX_STAGE_ATTEMPTS: usize = 32;
 
@@ -1208,10 +1115,11 @@ fn rung_event(stage: FaultStage, cand: &'static str, attempt: usize) {
 /// and are contained here — the same `catch_unwind` discipline the
 /// sweep ladder uses for worker panics.
 fn injected_outcome(
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     stage: FaultStage,
     attempt: usize,
 ) -> Option<NumError> {
+    let faults = faults?;
     if let Some(e) = faults.stage_error(stage, attempt) {
         return Some(e);
     }
@@ -1242,7 +1150,7 @@ fn injected_outcome(
 fn spectral_ladder<F>(
     a: &DMat,
     factor: impl Fn(&DMat, &SvdOptions, bool) -> Result<F, NumError>,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     tracker: &BudgetTracker,
     attempt: &mut usize,
 ) -> Result<(F, usize), NumError> {
@@ -1345,7 +1253,7 @@ fn spectral_or_incremental(
     zmat: &DMat,
     blocks: &[(usize, usize)],
     k: usize,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     tracker: &BudgetTracker,
     report: &mut PipelineReport,
     attempt: &mut usize,
@@ -1375,7 +1283,7 @@ fn compress(
     blocks: &[(usize, usize)],
     zl: Option<&DMat>,
     plan: &ReductionPlan,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     tracker: &BudgetTracker,
     report: &mut PipelineReport,
 ) -> Result<Compressed, NumError> {
@@ -1614,7 +1522,7 @@ fn project<S: LtiSystem + ?Sized>(
     zl: Option<&DMat>,
     compressed: Compressed,
     order: &OrderControl,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     report: &mut PipelineReport,
 ) -> Result<PmtbrModel, NumError> {
     let mut sp = obs::span("pmtbr.project");
@@ -1807,14 +1715,23 @@ mod tests {
         rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).unwrap()
     }
 
+    fn faulted(faults: FaultPlan) -> RunCtx<'static> {
+        RunCtx { faults: Some(faults), ..RunCtx::default() }
+    }
+
+    fn budgeted(budget: Budget) -> RunCtx<'static> {
+        RunCtx { budget, ..RunCtx::default() }
+    }
+
     #[test]
     fn plan_validation_rejects_degenerate_requests() {
         let sampling = Sampling::Linear { omega_max: 10.0, n: 8 };
-        let err = run(&mesh(), &ReductionPlan::balanced(&sampling, 0)).unwrap_err();
+        let err =
+            run(&mesh(), &ReductionPlan::balanced(&sampling, 0), &RunCtx::default()).unwrap_err();
         assert!(matches!(err, NumError::InvalidArgument(_)));
         let mut plan = ReductionPlan::cross_gramian(&sampling, 3);
         plan.order = OrderControl::Tolerance { tolerance: 1e-10, max_order: None };
-        assert!(run(&mesh(), &plan).is_err());
+        assert!(run(&mesh(), &plan, &RunCtx::default()).is_err());
     }
 
     #[test]
@@ -1822,7 +1739,7 @@ mod tests {
         let sys = mesh();
         let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 15 }).with_max_order(6);
         let classic = crate::pmtbr(&sys, &opts).unwrap();
-        let planned = run(&sys, &ReductionPlan::pmtbr(&opts)).unwrap();
+        let planned = run(&sys, &ReductionPlan::pmtbr(&opts), &RunCtx::default()).unwrap();
         assert_eq!(classic.order, planned.model.order);
         assert_eq!(classic.singular_values, planned.model.singular_values);
         assert!(!planned.diagnostics.is_degraded());
@@ -1832,10 +1749,11 @@ mod tests {
     fn incremental_compressor_matches_svd_subspace() {
         let sys = mesh();
         let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 12 }).with_max_order(5);
-        let svd_red = run(&sys, &ReductionPlan::pmtbr(&opts)).unwrap();
+        let svd_red = run(&sys, &ReductionPlan::pmtbr(&opts), &RunCtx::default()).unwrap();
         let inc_red = run(
             &sys,
             &ReductionPlan::pmtbr(&opts).with_compressor(Compressor::Incremental),
+            &RunCtx::default(),
         )
         .unwrap();
         assert_eq!(svd_red.model.order, inc_red.model.order);
@@ -1855,26 +1773,19 @@ mod tests {
 
     #[test]
     fn compress_ladder_escalates_one_rung_per_fault_depth() {
-        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        use crate::fault::{FaultKind, FaultStage};
         let sys = mesh();
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
         let plan = ReductionPlan::pmtbr(&opts);
-        let clean = run(&sys, &plan).unwrap();
+        let clean = run(&sys, &plan, &RunCtx::default()).unwrap();
         // Depth d poisons the first d rungs (drift ⇒ NotConverged), so
         // the ladder certifies on rung d: 1 = raised cap, 2 =
         // equilibration, 3 = direct Jacobi.
         for depth in 1..=3 {
             let faults = FaultPlan::new(11, 1.0, vec![FaultKind::Drift], depth)
                 .with_stages(vec![FaultStage::Compress]);
-            let red = run_guarded(
-                &sys,
-                &plan,
-                &RecoveryPolicy::default(),
-                &faults,
-                &Budget::default(),
-            )
-            .unwrap();
+            let red = run(&sys, &plan, &faulted(faults)).unwrap();
             assert_eq!(red.report.compress, StageOutcome::Recovered, "depth {depth}");
             assert!(!red.report.compressor_downgraded, "depth {depth}");
             assert!(
@@ -1896,7 +1807,7 @@ mod tests {
 
     #[test]
     fn exhausted_spectral_ladder_downgrades_to_incremental() {
-        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        use crate::fault::{FaultKind, FaultStage};
         let sys = mesh();
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
@@ -1906,14 +1817,7 @@ mod tests {
         // downgrade instead of erroring.
         let faults = FaultPlan::new(11, 1.0, vec![FaultKind::Drift], 4)
             .with_stages(vec![FaultStage::Compress]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, &faulted(faults)).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Degraded);
         assert!(red.report.compressor_downgraded);
         assert!(red.report.is_degraded());
@@ -1927,7 +1831,7 @@ mod tests {
 
     #[test]
     fn injected_compress_panic_is_contained_and_recovered() {
-        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        use crate::fault::{FaultKind, FaultStage};
         let sys = mesh();
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
@@ -1937,21 +1841,14 @@ mod tests {
         // The injected panic unwinds inside the stage's catch_unwind;
         // the ladder records it as a contained worker panic and
         // certifies on the next rung.
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, &faulted(faults)).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Recovered);
         assert!(!red.report.compressor_downgraded);
     }
 
     #[test]
     fn balance_compressor_downgrades_to_one_sided() {
-        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        use crate::fault::{FaultKind, FaultStage};
         let sys = mesh();
         let sampling = Sampling::Linear { omega_max: 20.0, n: 12 };
         let plan = ReductionPlan::balanced(&sampling, 4);
@@ -1960,14 +1857,7 @@ mod tests {
         // succeed on its first (fifth overall) attempt.
         let faults = FaultPlan::new(11, 1.0, vec![FaultKind::Drift], 4)
             .with_stages(vec![FaultStage::Compress]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, &faulted(faults)).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Degraded);
         assert!(red.report.compressor_downgraded);
         assert!(red
@@ -1980,21 +1870,14 @@ mod tests {
 
     #[test]
     fn cross_gramian_eigensolve_retries_past_injected_faults() {
-        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        use crate::fault::{FaultKind, FaultStage};
         let sys = mesh();
         let sampling = Sampling::Linear { omega_max: 20.0, n: 12 };
         let plan = ReductionPlan::cross_gramian(&sampling, 3);
-        let clean = run(&sys, &plan).unwrap();
+        let clean = run(&sys, &plan, &RunCtx::default()).unwrap();
         let faults = FaultPlan::new(5, 1.0, vec![FaultKind::Nan], 2)
             .with_stages(vec![FaultStage::Compress]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, &faulted(faults)).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Recovered);
         assert!(!red.report.compressor_downgraded);
         // Retried attempts re-run the identical eigensolve: the model
@@ -2005,22 +1888,15 @@ mod tests {
 
     #[test]
     fn project_stage_retries_injected_faults() {
-        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        use crate::fault::{FaultKind, FaultStage};
         let sys = mesh();
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
         let plan = ReductionPlan::pmtbr(&opts);
-        let clean = run(&sys, &plan).unwrap();
+        let clean = run(&sys, &plan, &RunCtx::default()).unwrap();
         let faults = FaultPlan::new(9, 1.0, vec![FaultKind::Singular], 2)
             .with_stages(vec![FaultStage::Project]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, &faulted(faults)).unwrap();
         assert_eq!(red.report.project, StageOutcome::Recovered);
         assert_eq!(red.report.compress, StageOutcome::Clean);
         // Poisoned attempts never touch the data: bit-identical model.
@@ -2038,7 +1914,7 @@ mod tests {
         // concurrently, so the effective cap may shrink below 4 — a
         // budget run must then still terminate with either a best-effort
         // degraded model or an explicit exhaustion error, never a hang.
-        match run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget) {
+        match run(&sys, &plan, &budgeted(budget)) {
             Ok(red) => {
                 assert_eq!(red.report.budget_exhausted, Some("lu-factorizations"));
                 assert_eq!(red.report.sweep, StageOutcome::Degraded);
@@ -2063,8 +1939,7 @@ mod tests {
         // run still completes on the SVD-free incremental compressor
         // with the exhaustion recorded.
         let budget = Budget::default().with_max_svd_sweeps(0);
-        let red = run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget)
-            .unwrap();
+        let red = run(&sys, &plan, &budgeted(budget)).unwrap();
         assert_eq!(red.report.budget_exhausted, Some("svd-sweeps"));
         assert!(red.report.compressor_downgraded);
         assert!(red.report.is_degraded());
@@ -2080,19 +1955,18 @@ mod tests {
         let token = numkit::CancelToken::new();
         token.cancel();
         let budget = Budget::default().with_cancel(token);
-        let err = run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget)
-            .unwrap_err();
+        let err = run(&sys, &plan, &budgeted(budget)).unwrap_err();
         assert_eq!(err, NumError::Cancelled);
     }
 
     #[test]
     fn two_sided_plans_survive_dropped_nodes() {
-        use crate::fault::{FaultKind, FaultPlan};
+        use crate::fault::FaultKind;
         let sys = mesh();
         let sampling = Sampling::Linear { omega_max: 20.0, n: 16 };
         let plan = ReductionPlan::balanced(&sampling, 4);
         let faults = FaultPlan::new(7, 0.25, vec![FaultKind::Panic], 2);
-        let red = run_with(&sys, &plan, &RecoveryPolicy::default(), &faults).unwrap();
+        let red = run(&sys, &plan, &faulted(faults)).unwrap();
         assert!(red.diagnostics.dropped() > 0, "plan must actually drop nodes");
         assert_eq!(red.model.order, 4);
         assert!(red.diagnostics.weight_renormalization > 1.0);

@@ -26,8 +26,8 @@
 use lti::{LtiSystem, RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault};
 use numkit::NumError;
 
-use crate::algorithm::{robust_svd, PmtbrModel, PmtbrOptions, SampleBasis};
-use crate::pipeline::{InputDirections, ReductionPlan, SweptSamples};
+use crate::algorithm::{robust_svd, SampleBasis};
+use crate::pipeline::{InputDirections, SweptSamples};
 use crate::Sampling;
 
 /// The complete account of a fault-tolerant sampling sweep.
@@ -170,33 +170,12 @@ pub fn sample_basis_tolerant<S: LtiSystem + ?Sized>(
     Ok((SampleBasis { svd, points: kept }, diagnostics))
 }
 
-/// Fault-tolerant PMTBR end to end: [`sample_basis_tolerant`] followed
-/// by the usual truncation and congruence projection.
-///
-/// The model is built from whatever quadrature nodes survived; consult
-/// the returned [`SweepDiagnostics`] (e.g.
-/// [`SweepDiagnostics::is_degraded`]) to decide whether a degraded
-/// sweep is acceptable — the library accepts any sweep with at least
-/// one surviving sample and leaves the policy decision to the caller.
-///
-/// # Errors
-///
-/// Propagates [`sample_basis_tolerant`] and projection errors.
-pub fn pmtbr_tolerant<S: LtiSystem + ?Sized>(
-    sys: &S,
-    opts: &PmtbrOptions,
-    policy: &RecoveryPolicy,
-    faults: &dyn SolveFault,
-) -> Result<(PmtbrModel, SweepDiagnostics), NumError> {
-    let red = crate::pipeline::run_with(sys, &ReductionPlan::pmtbr(opts), policy, faults)?;
-    Ok((red.model, red.diagnostics))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
-    use crate::{pmtbr, sample_basis};
+    use crate::pipeline::{run, ReductionPlan, RunCtx};
+    use crate::{pmtbr, sample_basis, PmtbrOptions};
     use circuits::rc_mesh;
     use lti::NoFaults;
     use numkit::c64;
@@ -229,8 +208,9 @@ mod tests {
         // Panic faults drop points outright — the harshest degradation.
         let plan = FaultPlan::new(11, 0.3, vec![FaultKind::Panic], 2);
         let opts = PmtbrOptions::new(sampling.clone()).with_max_order(8);
-        let (model, diag) =
-            pmtbr_tolerant(&sys, &opts, &RecoveryPolicy::default(), &plan).unwrap();
+        let ctx = RunCtx { faults: Some(plan), ..RunCtx::default() };
+        let red = run(&sys, &ReductionPlan::pmtbr(&opts), &ctx).unwrap();
+        let (model, diag) = (red.model, red.diagnostics);
         assert!(diag.dropped() > 0, "plan must actually drop points");
         assert!(diag.surviving > 0);
         assert!(diag.weight_renormalization > 1.0);

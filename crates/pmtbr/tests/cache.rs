@@ -10,7 +10,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use obs::ClockKind;
 use pmtbr::cache::{Artifact, ArtifactCache, CacheKey};
-use pmtbr::pipeline::{run_budgeted, run_cached};
+use pmtbr::pipeline::{run, RunCtx};
 use pmtbr::{
     Budget, Compressor, LruCache, NullCache, PmtbrOptions, Reduction, ReductionPlan, Sampling,
 };
@@ -25,6 +25,11 @@ fn lock() -> MutexGuard<'static, ()> {
 
 fn mesh() -> lti::Descriptor {
     circuits::rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).unwrap()
+}
+
+/// A fault-free run context over `budget` and `cache`.
+fn ctx<'a>(budget: &Budget, cache: &'a dyn ArtifactCache) -> RunCtx<'a> {
+    RunCtx { faults: None, budget: budget.clone(), cache }
 }
 
 fn plan() -> ReductionPlan {
@@ -80,13 +85,13 @@ fn cached_and_uncached_runs_are_bit_identical_across_threads() {
     for threads in ["1", "2", "8"] {
         std::env::set_var("PMTBR_THREADS", threads);
         let (baseline, baseline_trace) =
-            traced(|| run_budgeted(&sys, &plan, &budget).expect("uncached run"));
+            traced(|| run(&sys, &plan, &ctx(&budget, &NullCache)).expect("uncached run"));
 
         // Cold run through a real cache: byte-identical to the uncached
         // run — same model, same report, same trace, same counters line.
         let cache = LruCache::new(64 << 20);
         let (cold, cold_trace) =
-            traced(|| run_cached(&sys, &plan, &budget, &cache).expect("cold run"));
+            traced(|| run(&sys, &plan, &ctx(&budget, &cache)).expect("cold run"));
         assert_bit_identical(&baseline, &cold);
         assert_eq!(baseline_trace, cold_trace, "cold-cached trace must equal uncached trace");
 
@@ -94,7 +99,7 @@ fn cached_and_uncached_runs_are_bit_identical_across_threads() {
         // events are byte-identical; only the cache_lookup outcome and
         // the counters line may differ.
         let (warm, warm_trace) =
-            traced(|| run_cached(&sys, &plan, &budget, &cache).expect("warm run"));
+            traced(|| run(&sys, &plan, &ctx(&budget, &cache)).expect("warm run"));
         assert_bit_identical(&baseline, &warm);
         assert_eq!(work_lines(&cold_trace), work_lines(&warm_trace));
         assert!(warm_trace.contains("\"outcome\":\"hit\""));
@@ -109,10 +114,10 @@ fn warm_hits_skip_the_sweep_entirely() {
     let plan = plan();
     let budget = Budget::default();
     let cache = LruCache::new(64 << 20);
-    run_cached(&sys, &plan, &budget, &cache).expect("cold run");
+    run(&sys, &plan, &ctx(&budget, &cache)).expect("cold run");
     let lu_before = obs::counters::get(obs::Counter::LuFactor);
     let hits_before = obs::counters::get(obs::Counter::CacheHit);
-    let warm = run_cached(&sys, &plan, &budget, &cache).expect("warm run");
+    let warm = run(&sys, &plan, &ctx(&budget, &cache)).expect("warm run");
     assert_eq!(obs::counters::get(obs::Counter::LuFactor), lu_before, "no new factorizations");
     assert_eq!(obs::counters::get(obs::Counter::CacheHit), hits_before + 1);
     assert!(warm.report.is_clean());
@@ -124,19 +129,19 @@ fn plans_sharing_a_sweep_hit_the_sweep_artifact() {
     let sys = mesh();
     let budget = Budget::default();
     let cache = LruCache::new(64 << 20);
-    run_cached(&sys, &plan(), &budget, &cache).expect("cold run");
+    run(&sys, &plan(), &ctx(&budget, &cache)).expect("cold run");
 
     // Same sampling and directions, different compressor: the model key
     // misses but the sweep key hits, so no new LU work is spent.
     let mut alt = plan();
     alt.compressor = Compressor::Incremental;
     let lu_before = obs::counters::get(obs::Counter::LuFactor);
-    let via_cache = run_cached(&sys, &alt, &budget, &cache).expect("sweep-hit run");
+    let via_cache = run(&sys, &alt, &ctx(&budget, &cache)).expect("sweep-hit run");
     assert_eq!(obs::counters::get(obs::Counter::LuFactor), lu_before, "sweep was reused");
 
     // And the model it produces is bit-identical to a from-scratch run
     // of the same plan.
-    let from_scratch = run_cached(&sys, &alt, &budget, &NullCache).expect("scratch run");
+    let from_scratch = run(&sys, &alt, &ctx(&budget, &NullCache)).expect("scratch run");
     assert_bit_identical(&from_scratch, &via_cache);
 }
 
@@ -148,16 +153,16 @@ fn tiny_byte_budgets_evict_deterministically() {
     // Big enough for one run's artifacts, not two runs' worth.
     let one_run = {
         let probe = LruCache::new(usize::MAX >> 1);
-        run_cached(&sys, &plan(), &budget, &probe).expect("probe run");
+        run(&sys, &plan(), &ctx(&budget, &probe)).expect("probe run");
         probe.stats().1
     };
     let cache = LruCache::new(one_run + one_run / 4);
     let evicted_before = obs::counters::get(obs::Counter::CacheEvict);
-    run_cached(&sys, &plan(), &budget, &cache).expect("first plan");
+    run(&sys, &plan(), &ctx(&budget, &cache)).expect("first plan");
     // A different node count is a different sweep key, so a second full
     // sweep artifact is offered and the budget must evict.
     let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 9 }).with_max_order(6);
-    run_cached(&sys, &ReductionPlan::pmtbr(&opts), &budget, &cache).expect("second plan");
+    run(&sys, &ReductionPlan::pmtbr(&opts), &ctx(&budget, &cache)).expect("second plan");
     let (entries, bytes) = cache.stats();
     assert!(bytes <= cache.budget_bytes(), "byte budget holds after eviction");
     assert!(entries < 4, "older artifacts were evicted, not accumulated");
@@ -175,7 +180,7 @@ fn degraded_results_are_never_cached() {
     // Degraded and must be rejected by the admission policy.
     let budget = Budget::default().with_max_lu_factors(1);
     let cache = LruCache::new(64 << 20);
-    let red = run_cached(&sys, &plan(), &budget, &cache).expect("degraded run");
+    let red = run(&sys, &plan(), &ctx(&budget, &cache)).expect("degraded run");
     assert!(red.report.is_degraded());
     assert_eq!(cache.stats(), (0, 0), "no poisoned entries admitted");
     // The degraded report names the stage that consumed the budget.

@@ -3,10 +3,10 @@
 //! composition (dropped shifts re-enter selection; LU budgets truncate
 //! with honest accounting).
 
-use lti::{Descriptor, NoFaults, RecoveryPolicy};
+use lti::Descriptor;
 use numkit::{c64, NumError};
 use pmtbr::{
-    pipeline::{run_guarded, run_with},
+    pipeline::{run, RunCtx},
     Budget, FaultKind, FaultPlan, FaultStage, OrderControl, PmtbrOptions, ReductionPlan, Sampling,
 };
 
@@ -47,25 +47,15 @@ fn greedy_no_worse_than_fixed_grid_at_equal_solve_budget() {
     let fixed_opts = PmtbrOptions::new(Sampling::Linear { omega_max, n: budget })
         .with_tolerance(1e-12)
         .with_max_order(6);
-    let fixed = run_with(
-        &sys,
-        &ReductionPlan::pmtbr(&fixed_opts),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let fixed = run(&sys, &ReductionPlan::pmtbr(&fixed_opts), &RunCtx::default()).unwrap();
     // tol = 0 disables early stopping: exactly `budget` accepted shifts,
     // the same number of LU-backed solves the fixed grid spends. The
     // default pool is the budget's own midpoint grid, so the exhausted
     // greedy selection is the fixed grid — only accepted in
     // surrogate-score order.
-    let greedy = run_with(
-        &sys,
-        &ReductionPlan::greedy(omega_max, 0.0, budget, order()),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let greedy =
+        run(&sys, &ReductionPlan::greedy(omega_max, 0.0, budget, order()), &RunCtx::default())
+            .unwrap();
     assert_eq!(greedy.diagnostics.surviving, budget);
     assert_eq!(greedy.diagnostics.requested, budget);
     assert!(greedy.report.is_clean(), "clean run expected: {:?}", greedy.report);
@@ -91,7 +81,7 @@ fn greedy_no_worse_than_fixed_grid_at_equal_solve_budget() {
     let mut dense = ReductionPlan::greedy(omega_max, 0.0, budget, order());
     dense.sampling =
         Sampling::Greedy { omega_max, pool: 4 * budget, tol: 0.0, max_shifts: budget };
-    let dense = run_with(&sys, &dense, &RecoveryPolicy::default(), &NoFaults).unwrap();
+    let dense = run(&sys, &dense, &RunCtx::default()).unwrap();
     let dense_err = inband_error(&sys, &dense.model.reduced, omega_max);
     assert!(
         dense_err <= fixed_err * 1.25,
@@ -104,13 +94,8 @@ fn greedy_converges_early_under_loose_tolerance() {
     let sys = test_system();
     // A loose tolerance with a generous shift budget must trigger the
     // frequency-aware stopping rule well before the budget.
-    let red = run_with(
-        &sys,
-        &ReductionPlan::greedy(10.0, 0.05, 32, order()),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let red =
+        run(&sys, &ReductionPlan::greedy(10.0, 0.05, 32, order()), &RunCtx::default()).unwrap();
     assert!(
         red.diagnostics.surviving < 32,
         "expected early convergence, used {} shifts",
@@ -122,13 +107,7 @@ fn greedy_converges_early_under_loose_tolerance() {
     let fixed_opts = PmtbrOptions::new(Sampling::Linear { omega_max: 10.0, n: 8 })
         .with_tolerance(1e-12)
         .with_max_order(6);
-    let fixed = run_with(
-        &sys,
-        &ReductionPlan::pmtbr(&fixed_opts),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let fixed = run(&sys, &ReductionPlan::pmtbr(&fixed_opts), &RunCtx::default()).unwrap();
     let fixed_err = inband_error(&sys, &fixed.model.reduced, 10.0);
     let greedy_err = inband_error(&sys, &red.model.reduced, 10.0);
     assert!(
@@ -152,15 +131,13 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 fn greedy_selection_bit_identical_across_thread_counts() {
     let sys = test_system();
     let plan = ReductionPlan::greedy(10.0, 1e-4, 10, order());
-    let run = |threads: usize| {
-        with_threads(threads, || {
-            run_with(&sys, &plan, &RecoveryPolicy::default(), &NoFaults).unwrap()
-        })
+    let run_at = |threads: usize| {
+        with_threads(threads, || run(&sys, &plan, &RunCtx::default()).unwrap())
     };
-    let base = run(1);
+    let base = run_at(1);
     let base_shifts: Vec<c64> = base.diagnostics.reports.iter().map(|r| r.s_used).collect();
     for threads in [2usize, 8] {
-        let red = run(threads);
+        let red = run_at(threads);
         let shifts: Vec<c64> = red.diagnostics.reports.iter().map(|r| r.s_used).collect();
         assert_eq!(shifts, base_shifts, "threads {threads}: selected shifts differ");
         assert_eq!(
@@ -185,8 +162,8 @@ fn greedy_dropped_shifts_reenter_selection() {
     // drops stay visible in the per-node reports.
     let faults = FaultPlan::new(7, 0.25, vec![FaultKind::Panic], 2)
         .with_stages(vec![FaultStage::Sweep]);
-    let red = run_guarded(&sys, &plan, &RecoveryPolicy::default(), &faults, &Budget::default())
-        .unwrap();
+    let ctx = RunCtx { faults: Some(faults), ..RunCtx::default() };
+    let red = run(&sys, &plan, &ctx).unwrap();
     assert!(red.diagnostics.dropped() > 0, "fault plan must actually drop shifts");
     assert_eq!(
         red.diagnostics.surviving, max_shifts,
@@ -204,10 +181,7 @@ fn greedy_dropped_shifts_reenter_selection() {
     // Determinism under injected faults: the identical plan and fault
     // seed reproduce the run bit for bit, at any worker count.
     for threads in [1usize, 2, 8] {
-        let again = with_threads(threads, || {
-            run_guarded(&sys, &plan, &RecoveryPolicy::default(), &faults, &Budget::default())
-                .unwrap()
-        });
+        let again = with_threads(threads, || run(&sys, &plan, &ctx).unwrap());
         assert_eq!(
             again.model.singular_values, red.model.singular_values,
             "threads {threads}: singular values differ under faults"
@@ -226,7 +200,7 @@ fn greedy_composes_with_lu_budget() {
     // concurrently, so the effective cap may shrink below 3 — the run
     // must then still terminate with either a best-effort degraded
     // model or an explicit exhaustion error, never a hang.
-    match run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget) {
+    match run(&sys, &plan, &RunCtx { budget, ..RunCtx::default() }) {
         Ok(red) => {
             assert_eq!(red.report.budget_exhausted, Some("lu-factorizations"));
             assert!(red.report.is_degraded());
@@ -243,15 +217,15 @@ fn greedy_composes_with_lu_budget() {
 #[test]
 fn greedy_plan_validation() {
     let sys = test_system();
-    let run = |plan: &ReductionPlan| run_with(&sys, plan, &RecoveryPolicy::default(), &NoFaults);
+    let try_plan = |plan: &ReductionPlan| run(&sys, plan, &RunCtx::default());
     // Degenerate parameters are rejected before any solve.
     let mut plan = ReductionPlan::greedy(10.0, 1e-3, 4, order());
     plan.sampling = Sampling::Greedy { omega_max: 10.0, pool: 2, tol: 1e-3, max_shifts: 4 };
-    assert!(run(&plan).is_err(), "pool < max_shifts must be rejected");
+    assert!(try_plan(&plan).is_err(), "pool < max_shifts must be rejected");
     plan.sampling = Sampling::Greedy { omega_max: 0.0, pool: 64, tol: 1e-3, max_shifts: 4 };
-    assert!(run(&plan).is_err(), "ω_max = 0 must be rejected");
+    assert!(try_plan(&plan).is_err(), "ω_max = 0 must be rejected");
     plan.sampling = Sampling::Greedy { omega_max: 10.0, pool: 64, tol: f64::NAN, max_shifts: 4 };
-    assert!(run(&plan).is_err(), "NaN tolerance must be rejected");
+    assert!(try_plan(&plan).is_err(), "NaN tolerance must be rejected");
     // Greedy scoring needs the identity-block excitation.
     let mut plan = ReductionPlan::greedy(10.0, 1e-3, 4, order());
     plan.directions = pmtbr::InputDirections::Correlated {
@@ -260,7 +234,7 @@ fn greedy_plan_validation() {
         corr_tol: 1e-8,
         seed: 1,
     };
-    assert!(run(&plan).is_err(), "greedy × correlated must be rejected");
+    assert!(try_plan(&plan).is_err(), "greedy × correlated must be rejected");
 }
 
 #[test]
@@ -268,21 +242,33 @@ fn greedy_works_two_sided() {
     let sys = test_system();
     let mut plan = ReductionPlan::greedy(10.0, 0.0, 8, OrderControl::Exact(4));
     plan.compressor = pmtbr::Compressor::Balance;
-    let red = run_with(&sys, &plan, &RecoveryPolicy::default(), &NoFaults).unwrap();
+    let red = run(&sys, &plan, &RunCtx::default()).unwrap();
     assert_eq!(red.model.order, 4);
     // Exhausting the default pool must land on the fixed-grid balanced
     // reduction (same nodes, same weights, both pencils solved).
-    let fixed = run_with(
-        &sys,
-        &ReductionPlan::balanced(&Sampling::Linear { omega_max: 10.0, n: 8 }, 4),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let fixed_plan = ReductionPlan::balanced(&Sampling::Linear { omega_max: 10.0, n: 8 }, 4);
+    let fixed = run(&sys, &fixed_plan, &RunCtx::default()).unwrap();
     let fixed_err = inband_error(&sys, &fixed.model.reduced, 10.0);
     let greedy_err = inband_error(&sys, &red.model.reduced, 10.0);
     assert!(
         greedy_err <= fixed_err * (1.0 + 1e-6),
         "two-sided greedy {greedy_err:.3e} vs fixed balanced {fixed_err:.3e}"
     );
+}
+
+#[test]
+fn greedy_tracks_a_resonant_structure_within_its_shift_budget() {
+    // Sharp resonances at unknown locations are what adaptive placement
+    // is for: the surrogate must find them within the shift budget.
+    let sys = circuits::peec_resonator(&circuits::PeecParams::default()).unwrap();
+    let w_hi = 2.0 * std::f64::consts::PI * 20e9;
+    let order = OrderControl::Tolerance { tolerance: 1e-10, max_order: None };
+    let red = run(&sys, &ReductionPlan::greedy(w_hi, 1e-7, 40, order), &RunCtx::default()).unwrap();
+    assert!(red.diagnostics.surviving <= 40, "shift budget exceeded");
+    assert!(red.report.is_clean(), "{:?}", red.report);
+    let grid = lti::linspace(w_hi * 0.01, w_hi * 0.99, 60);
+    let h = lti::frequency_response(&sys, &grid).unwrap();
+    let hr = lti::frequency_response(&red.model.reduced, &grid).unwrap();
+    let err = lti::max_rel_error(&h, &hr);
+    assert!(err < 0.05, "greedy in-band error {err:.3e}");
 }

@@ -225,22 +225,32 @@ mod tests {
         assert_ne!(ka, kb);
         assert_eq!(kbad, 0);
 
-        // Pre-connect several clients before the server starts its
-        // loop, so they all land in one drained batch.
+        // Connect and send all four requests from this thread, one
+        // after another, before the server starts its loop: each
+        // completed connect is queued in the listener's backlog in that
+        // order, so all four land in one drained batch with a known
+        // arrival order.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        let addr = listener.local_addr().unwrap();
         let order = std::sync::Mutex::new(Vec::new());
+        let streams: Vec<TcpStream> = [("a", RC), ("b", other), ("c", RC), ("d", other)]
+            .into_iter()
+            .map(|(tag, nl)| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                crate::wire::write_frame(&mut stream, &request(nl, tag).encode()).unwrap();
+                stream
+            })
+            .collect();
         std::thread::scope(|scope| {
-            let jobs: Vec<_> = [("a", RC), ("b", other), ("c", RC), ("d", other)]
+            let jobs: Vec<_> = streams
                 .into_iter()
-                .map(|(tag, nl)| {
-                    let addr = addr.clone();
-                    let req = request(nl, tag);
-                    scope.spawn(move || submit(&addr, &req, Duration::from_secs(10)).unwrap())
+                .map(|mut stream| {
+                    scope.spawn(move || {
+                        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                        JobResponse::decode(&read_frame(&mut stream).unwrap()).unwrap()
+                    })
                 })
                 .collect();
-            // Give all four connections time to queue.
-            std::thread::sleep(Duration::from_millis(100));
             let handler = |req: &JobRequest| {
                 order.lock().unwrap().push(req.method.clone());
                 JobResponse::Err("ok".into())
@@ -248,17 +258,16 @@ mod tests {
             let opts = ServeOptions { max_jobs: Some(4), ..ServeOptions::default() };
             let stats = serve(&listener, &handler, &opts, &AtomicBool::new(false)).unwrap();
             for j in jobs {
-                j.join().unwrap();
+                assert_eq!(j.join().unwrap(), JobResponse::Err("ok".into()));
             }
             assert_eq!(stats.jobs, 4);
-            if stats.batches == 1 {
-                // All four drained in one batch: same-pencil jobs must
-                // be adjacent and arrival order kept within a group.
-                assert_eq!(stats.grouped, 2);
-                let got = order.lock().unwrap().clone();
-                let expect = if ka < kb { vec!["a", "c", "b", "d"] } else { vec!["b", "d", "a", "c"] };
-                assert_eq!(got, expect);
-            }
+            // All four drained in one batch: same-pencil jobs must be
+            // adjacent and arrival order kept within a group.
+            assert_eq!(stats.batches, 1);
+            assert_eq!(stats.grouped, 2);
+            let got = order.lock().unwrap().clone();
+            let expect = if ka < kb { vec!["a", "c", "b", "d"] } else { vec!["b", "d", "a", "c"] };
+            assert_eq!(got, expect);
         });
     }
 }

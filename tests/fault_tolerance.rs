@@ -7,9 +7,25 @@
 //! quadrature nodes.
 
 use circuits::rc_mesh;
-use lti::RecoveryPolicy;
+use lti::{LtiSystem, RecoveryPolicy};
 use numkit::c64;
-use pmtbr::{pmtbr, pmtbr_tolerant, FaultKind, FaultPlan, PmtbrOptions, Sampling};
+use pmtbr::pipeline::{run, RunCtx};
+use pmtbr::{
+    pmtbr, FaultKind, FaultPlan, PmtbrModel, PmtbrOptions, ReductionPlan, Sampling,
+    SweepDiagnostics,
+};
+
+/// Runs PMTBR with `plan` injected into the sweep and returns the model
+/// and the per-node account.
+fn faulted_pmtbr(
+    sys: &impl LtiSystem,
+    opts: &PmtbrOptions,
+    plan: &FaultPlan,
+) -> Result<(PmtbrModel, SweepDiagnostics), numkit::NumError> {
+    let ctx = RunCtx { faults: Some(plan.clone()), ..RunCtx::default() };
+    let red = run(sys, &ReductionPlan::pmtbr(opts), &ctx)?;
+    Ok((red.model, red.diagnostics))
+}
 
 #[test]
 fn quarter_faulted_sweep_degrades_gracefully() {
@@ -28,11 +44,10 @@ fn quarter_faulted_sweep_degrades_gracefully() {
         "expected roughly a quarter of 24 points faulted, got {faulted:?}"
     );
 
-    let policy = RecoveryPolicy::default();
     let opts = PmtbrOptions::new(sampling).with_max_order(10);
     // No catch_unwind here: if a worker panic escaped the library, this
     // call would abort the test. Completing at all is part of the claim.
-    let (model, diag) = pmtbr_tolerant(&sys, &opts, &policy, &plan).expect("degraded sweep");
+    let (model, diag) = faulted_pmtbr(&sys, &opts, &plan).expect("degraded sweep");
 
     // Every requested shift is accounted for, exactly once, in order.
     assert_eq!(diag.requested, 24);
@@ -70,7 +85,7 @@ fn quarter_faulted_sweep_degrades_gracefully() {
     // actually solved, same renormalized weights). The tolerant basis
     // records both, so rerun the (deterministic) sweep for the points.
     let (basis, diag2) =
-        pmtbr::sample_basis_tolerant(&sys, opts.sampling(), &policy, &plan)
+        pmtbr::sample_basis_tolerant(&sys, opts.sampling(), &RecoveryPolicy::default(), &plan)
             .expect("deterministic rerun");
     assert_eq!(diag2.reports, diag.reports, "sweeps must be reproducible");
     assert_eq!(basis.points.len(), diag.surviving);
@@ -117,9 +132,8 @@ fn faulted_sweep_is_reproducible() {
         2,
     );
     let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 16 }).with_max_order(8);
-    let policy = RecoveryPolicy::default();
-    let (m1, d1) = pmtbr_tolerant(&sys, &opts, &policy, &plan).expect("first run");
-    let (m2, d2) = pmtbr_tolerant(&sys, &opts, &policy, &plan).expect("second run");
+    let (m1, d1) = faulted_pmtbr(&sys, &opts, &plan).expect("first run");
+    let (m2, d2) = faulted_pmtbr(&sys, &opts, &plan).expect("second run");
     assert_eq!(d1.reports, d2.reports);
     assert_eq!(d1.surviving, d2.surviving);
     assert_eq!(m1.order, m2.order);

@@ -1,10 +1,17 @@
 //! End-to-end integration tests: netlist → MNA → reduction → validation,
 //! exercising every crate boundary in one flow.
 
+use std::sync::Mutex;
+
 use circuits::{rc_mesh, spread_ports, Netlist};
 use lti::{frequency_response, linspace, tbr};
 use numkit::c64;
-use pmtbr::{pmtbr, sample_basis, PmtbrOptions, Sampling};
+use pmtbr::cache::{Artifact, ArtifactCache, ArtifactKind, CacheKey};
+use pmtbr::pipeline::{run, RunCtx};
+use pmtbr::{
+    pmtbr, sample_basis, FaultKind, FaultPlan, FaultStage, LruCache, PmtbrOptions, Reduction,
+    ReductionPlan, Sampling, StageOutcome,
+};
 
 /// Build a custom netlist, reduce it with PMTBR, and verify the reduced
 /// model against the full transfer function over a sweep.
@@ -148,4 +155,96 @@ fn pmtbr_competitive_with_tbr_on_symmetric_system() {
         "pmtbr error {e_pm:.3e} vs tbr bound {:.3e}",
         exact.error_bound
     );
+}
+
+/// An [`LruCache`] that records every lookup's key and outcome.
+struct RecordingCache {
+    inner: LruCache,
+    lookups: Mutex<Vec<(CacheKey, bool)>>,
+}
+
+impl RecordingCache {
+    fn lookups(&self) -> Vec<(CacheKey, bool)> {
+        self.lookups.lock().expect("lookup log").clone()
+    }
+}
+
+impl ArtifactCache for RecordingCache {
+    fn get(&self, key: &CacheKey) -> Option<Artifact> {
+        let found = self.inner.get(key);
+        self.lookups.lock().expect("lookup log").push((*key, found.is_some()));
+        found
+    }
+
+    fn put(&self, key: CacheKey, value: Artifact) {
+        self.inner.put(key, value);
+    }
+
+    fn stats(&self) -> (usize, usize) {
+        self.inner.stats()
+    }
+}
+
+/// Every bit of the reduced model and its spectrum.
+fn model_bits(red: &Reduction) -> Vec<u64> {
+    let m = &red.model;
+    let mut bits: Vec<u64> = m.singular_values.iter().map(|v| v.to_bits()).collect();
+    for mat in [&m.reduced.a, &m.reduced.b, &m.reduced.c, &m.reduced.d, &m.v] {
+        for i in 0..mat.nrows() {
+            for j in 0..mat.ncols() {
+                bits.push(mat[(i, j)].to_bits());
+            }
+        }
+    }
+    bits
+}
+
+/// The cache key covers the fault plan a run actually used: a faulted
+/// result that the compressor ladder recovered from is admitted (it is
+/// not degraded), yet a fault-free run of the same plan must never be
+/// served that model.
+#[test]
+fn faulted_results_never_serve_fault_free_runs() {
+    let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).expect("mesh");
+    let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
+    let plan = ReductionPlan::pmtbr(&opts);
+    let drift = |seed: u64| {
+        FaultPlan::new(seed, 1.0, vec![FaultKind::Drift], 2)
+            .with_stages(vec![FaultStage::Compress])
+    };
+    let cache = RecordingCache { inner: LruCache::new(64 << 20), lookups: Mutex::new(Vec::new()) };
+    let faulted_ctx = |seed: u64| RunCtx { faults: Some(drift(seed)), ..RunCtx::default() };
+
+    let ctx = RunCtx { cache: &cache, ..faulted_ctx(11) };
+    let faulted = run(&sys, &plan, &ctx).expect("faulted run");
+    assert_eq!(faulted.report.compress, StageOutcome::Recovered);
+    assert!(!faulted.report.is_degraded(), "a recovered result is admissible");
+    assert!(cache.stats().0 > 0, "the recovered result was admitted");
+
+    let seen = cache.lookups().len();
+    let clean = run(&sys, &plan, &RunCtx { cache: &cache, ..RunCtx::default() }).expect("clean");
+    let clean_lookups = &cache.lookups()[seen..];
+    assert!(!clean_lookups.is_empty());
+    assert!(
+        clean_lookups.iter().all(|(_, hit)| !hit),
+        "a fault-free run must miss the faulted entries: {clean_lookups:?}"
+    );
+    let reference = run(&sys, &plan, &RunCtx::default()).expect("reference");
+    assert!(clean.report.is_clean(), "{:?}", clean.report);
+    assert_eq!(clean.report, reference.report);
+    assert_eq!(model_bits(&clean), model_bits(&reference));
+
+    // Two different fault plans are two different model keys, and both
+    // differ from the fault-free key.
+    run(&sys, &plan, &RunCtx { cache: &cache, ..faulted_ctx(12) }).expect("second plan");
+    let mut model_keys: Vec<CacheKey> = cache
+        .lookups()
+        .iter()
+        .filter(|(key, _)| key.kind == ArtifactKind::Model)
+        .map(|(key, _)| *key)
+        .collect();
+    assert_eq!(model_keys.len(), 3);
+    model_keys.sort();
+    model_keys.dedup();
+    assert_eq!(model_keys.len(), 3, "each fault plan has its own model key");
 }

@@ -1,6 +1,6 @@
 //! Regression test for the unified-pipeline refactor: every reduction
-//! variant — not just the baseline — must honor `PMTBR_FAULT` and
-//! degrade gracefully instead of erroring.
+//! variant — not just the baseline — must honor an injected
+//! [`pmtbr::FaultPlan`] and degrade gracefully instead of erroring.
 //!
 //! Before the `pmtbr::pipeline` refactor, `frequency_selective_pmtbr`
 //! and `input_correlated_pmtbr` ran strict per-variant solve loops that
@@ -8,13 +8,10 @@
 //! aborted the whole reduction. Now they execute through the shared
 //! tolerant engine, so faulted quadrature nodes are dropped with
 //! renormalized weights and a full [`pmtbr::SweepDiagnostics`] account.
-//!
-//! NOTE: this file holds exactly one `#[test]` because it mutates the
-//! `PMTBR_FAULT` process environment; a second concurrent test in the
-//! same binary could observe the injected faults.
 
 use circuits::{rc_mesh, spread_ports};
 use lti::dithered_square_inputs;
+use pmtbr::pipeline::{run, RunCtx};
 use pmtbr::{
     frequency_selective_pmtbr, input_correlated_pmtbr, FaultPlan, InputCorrelatedOptions,
     ReductionPlan, Sampling,
@@ -30,24 +27,24 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     let plan = FaultPlan::parse_spec(FAULT_SPEC)
         .expect("spec parses")
         .expect("spec is not `off`");
-    let faulted = (0..12).filter(|&i| plan.fault_for(i).is_some()).count();
-    assert!(faulted > 0, "seed must fault at least one of the first 12 indices");
+    let hit = (0..12).filter(|&i| plan.fault_for(i).is_some()).count();
+    assert!(hit > 0, "seed must fault at least one of the first 12 indices");
 
-    std::env::set_var("PMTBR_FAULT", FAULT_SPEC);
+    let faulted = RunCtx { faults: Some(plan), ..RunCtx::default() };
 
     // --- Algorithm 2: frequency-selective --------------------------------
     let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).expect("mesh");
     let bands = [(0.0, 2.0), (5.0, 10.0)];
-    let m_fsel = frequency_selective_pmtbr(&sys, &bands, 12, Some(5), 1e-10)
-        .expect("frequency-selective must degrade, not error");
+    let fsel_plan = ReductionPlan::frequency_selective(&bands, 12, Some(5), 1e-10);
+    let m_fsel = run(&sys, &fsel_plan, &faulted)
+        .expect("frequency-selective must degrade, not error")
+        .model;
     assert!(m_fsel.reduced.a.is_finite());
     assert!(m_fsel.order >= 1 && m_fsel.order <= 5);
 
-    // The same plan, run through the pipeline directly, exposes the
-    // diagnostics the shim discards: every requested node accounted
-    // for, some dropped, weights renormalized.
-    let fsel_plan = ReductionPlan::frequency_selective(&bands, 12, Some(5), 1e-10);
-    let red = pmtbr::pipeline::run(&sys, &fsel_plan).expect("pipeline run");
+    // A second faulted run exposes the full diagnostics: every
+    // requested node accounted for, some dropped, weights renormalized.
+    let red = run(&sys, &fsel_plan, &faulted).expect("pipeline run");
     let diag = &red.diagnostics;
     assert!(diag.requested > 0, "diagnostics must not be empty");
     assert_eq!(diag.reports.len(), diag.requested);
@@ -58,7 +55,7 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     for report in diag.reports.iter().filter(|r| r.outcome.is_dropped()) {
         assert!(report.error.is_some(), "drops must carry their cause");
     }
-    // Shim and direct pipeline run see the same env-injected faults.
+    // Both faulted runs see the same injected faults.
     assert_eq!(m_fsel.singular_values, red.model.singular_values);
 
     // --- Algorithm 3: input-correlated -----------------------------------
@@ -68,13 +65,14 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     let mut opts = InputCorrelatedOptions::new(Sampling::Linear { omega_max: 6.0, n: 12 });
     opts.n_draws = 24;
     opts.max_order = Some(5);
-    let m_ic = input_correlated_pmtbr(&sys_mc, &u_train, &opts)
-        .expect("input-correlated must degrade, not error");
+    let ic_plan = ReductionPlan::input_correlated(&u_train, &opts);
+    let m_ic = run(&sys_mc, &ic_plan, &faulted)
+        .expect("input-correlated must degrade, not error")
+        .model;
     assert!(m_ic.reduced.a.is_finite());
     assert!(m_ic.order >= 1 && m_ic.order <= 5);
 
-    let ic_plan = ReductionPlan::input_correlated(&u_train, &opts);
-    let red_ic = pmtbr::pipeline::run(&sys_mc, &ic_plan).expect("pipeline run");
+    let red_ic = run(&sys_mc, &ic_plan, &faulted).expect("pipeline run");
     let diag_ic = &red_ic.diagnostics;
     assert!(diag_ic.requested > 0, "diagnostics must not be empty");
     assert_eq!(diag_ic.reports.len(), diag_ic.requested);
@@ -84,14 +82,19 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
 
     // Degraded runs stay deterministic: the fault pattern is a pure
     // function of (seed, index), so reruns are bit-identical.
-    let m_ic2 = input_correlated_pmtbr(&sys_mc, &u_train, &opts).expect("rerun");
+    let m_ic2 = run(&sys_mc, &ic_plan, &faulted).expect("rerun").model;
     assert_eq!(m_ic.singular_values, m_ic2.singular_values);
 
-    std::env::remove_var("PMTBR_FAULT");
-
-    // Clean reruns (no env) must not be degraded — the variable really
-    // was the only fault source.
-    let clean = pmtbr::pipeline::run(&sys, &fsel_plan).expect("clean run");
+    // Clean reruns (no fault plan) must not be degraded — the plan
+    // really was the only fault source.
+    let clean = run(&sys, &fsel_plan, &RunCtx::default()).expect("clean run");
     assert!(!clean.diagnostics.is_degraded());
     assert_eq!(clean.diagnostics.weight_renormalization, 1.0);
+
+    // The paper-facing shims are that same clean run.
+    let shim_fsel = frequency_selective_pmtbr(&sys, &bands, 12, Some(5), 1e-10).expect("shim");
+    assert_eq!(shim_fsel.singular_values, clean.model.singular_values);
+    let clean_ic = run(&sys_mc, &ic_plan, &RunCtx::default()).expect("clean run");
+    let shim_ic = input_correlated_pmtbr(&sys_mc, &u_train, &opts).expect("shim");
+    assert_eq!(shim_ic.singular_values, clean_ic.model.singular_values);
 }
